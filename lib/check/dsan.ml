@@ -1,16 +1,6 @@
 module Cluster = Drust_machine.Cluster
-module Ctx = Drust_machine.Ctx
-module Engine = Drust_sim.Engine
-module Fabric = Drust_net.Fabric
 module Gaddr = Drust_memory.Gaddr
-module Cache = Drust_memory.Cache
 module Metrics = Drust_obs.Metrics
-module Protocol = Drust_core.Protocol
-module Darc = Drust_runtime.Darc
-module Drc = Drust_runtime.Drc
-module Dmutex = Drust_runtime.Dmutex
-module Replication = Drust_runtime.Replication
-module Membership = Drust_runtime.Membership
 module Flight = Drust_obs.Flight
 
 (* ------------------------------------------------------------------ *)
@@ -110,18 +100,20 @@ let () =
 (* Shadow state                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* One observed event, exactly as the flight subscriber received it. *)
+type trace = {
+  tr_time : float;
+  tr_node : int;
+  tr_thread : int;
+  tr_kind : int;
+  tr_a : int;
+  tr_b : int;
+  tr_c : int;
+  tr_d : int;
+}
+
 (* Per-entity event history: a bounded, newest-first list of raw events,
    formatted lazily only when a report is built. *)
-type traced =
-  | Tr_proto of int * Protocol.probe_event (* thread *)
-  | Tr_cache of Cache.event
-  | Tr_rc of int * Darc.rc_event (* thread *)
-  | Tr_lock of Dmutex.event
-  | Tr_failover of Replication.event
-  | Tr_member of Membership.event
-
-type trace = { tr_time : float; tr_node : int; tr_ev : traced }
-
 type histo = { mutable h_items : trace list; mutable h_len : int }
 
 let histo () = { h_items = []; h_len = 0 }
@@ -143,9 +135,7 @@ type status = Owned | Shared of int | Mut | Dead
 
 type shadow = {
   mutable sh_color : int;
-  mutable sh_size : int;
   mutable sh_status : status;
-  mutable sh_box : int;  (* node holding the owner box *)
   mutable sh_home : int;  (* partition range the address lives in *)
   sh_copies : (int, int) Hashtbl.t;  (* node -> color the copy was fetched under *)
   sh_hist : histo;
@@ -167,145 +157,56 @@ type t = {
   locks : (int, lock_shadow) Hashtbl.t;
   serving : int array;
   alive : bool array;
-  (* Membership shadow: the highest view epoch observed, and the set of
-     handoffs prepared but not yet committed/aborted, keyed by home. *)
+  (* Membership shadow: the highest view epoch observed, the set of
+     handoffs prepared but not yet committed/aborted (keyed by home), and
+     the hosts reported since the last chain reseed. *)
   mutable last_epoch : int;
   pending_handoffs : (int, int * int) Hashtbl.t; (* home -> (from, to) *)
-  ring : (float * string * int * int * int) option array;
-  mutable ring_idx : int;
+  mutable chain_hosts : int list;
   mutable reports : report list;  (* newest first *)
   mutable report_count : int;
   counter : Metrics.counter;
+  mutable token : int;  (* the flight subscriber slot this sanitizer holds *)
   mutable active : bool;
 }
 
-let phys g = Gaddr.to_int (Gaddr.clear_color g)
-let gstr g = Format.asprintf "%a" Gaddr.pp g
-
-(* ------------------------------------------------------------------ *)
-(* Trace formatting (lazy: only on violation)                          *)
-(* ------------------------------------------------------------------ *)
-
-let format_proto = function
-  | Protocol.Ev_create { g; size } ->
-      Printf.sprintf "create %s (%dB)" (gstr g) size
-  | Ev_read { g; path } -> (
-      match path with
-      | Protocol.Path_local -> Printf.sprintf "read %s [local]" (gstr g)
-      | Path_cache key ->
-          Printf.sprintf "read %s [cache copy %s]" (gstr g) (gstr key)
-      | Path_fetch -> Printf.sprintf "read %s [fetch]" (gstr g))
-  | Ev_write { before; after; size = _; kind } ->
-      let k =
-        match kind with
-        | Protocol.W_bump -> "bump"
-        | W_move -> "move"
-        | W_in_place -> "in-place"
-      in
-      Printf.sprintf "write(%s) %s -> %s" k (gstr before) (gstr after)
-  | Ev_borrow_imm { g } -> "borrow-imm " ^ gstr g
-  | Ev_return_imm { g } -> "return-imm " ^ gstr g
-  | Ev_borrow_mut { g } -> "borrow-mut " ^ gstr g
-  | Ev_return_mut { g } -> "return-mut " ^ gstr g
-  | Ev_transfer { g; to_node } ->
-      Printf.sprintf "transfer %s -> node %d" (gstr g) to_node
-  | Ev_drop { g } -> "drop " ^ gstr g
-  | Ev_app { g; verb; tag } -> Printf.sprintf "%s %s :%s" verb (gstr g) tag
-
-let format_cache = function
-  | Cache.Hit { key } -> "cache hit " ^ gstr key
-  | Stale_miss { sought; cached } ->
-      Printf.sprintf "cache stale-miss sought %s, held %s" (gstr sought)
-        (gstr cached)
-  | Insert { key; size } -> Printf.sprintf "cache insert %s (%dB)" (gstr key) size
-  | Release { key; refcount } ->
-      Printf.sprintf "cache release %s rc=%d" (gstr key) refcount
-  | Invalidate { key } -> "cache invalidate " ^ gstr key
-
-let format_rc = function
-  | Darc.Rc_created { g; size; count } ->
-      Printf.sprintf "rc create %s (%dB) count=%d" (gstr g) size count
-  | Rc_retained { g; count } ->
-      Printf.sprintf "rc retain %s count=%d" (gstr g) count
-  | Rc_released { g; count } ->
-      Printf.sprintf "rc release %s count=%d" (gstr g) count
-  | Rc_freed { g } -> "rc free " ^ gstr g
-
-let format_lock = function
-  | Dmutex.Lock_created { g } -> "lock create " ^ gstr g
-  | Lock_acquired { g; thread } ->
-      Printf.sprintf "lock acquire %s by thread %d" (gstr g) thread
-  | Lock_released { g; thread } ->
-      Printf.sprintf "lock release %s by thread %d" (gstr g) thread
-
-let format_failover = function
-  | Replication.Node_failed { node } -> Printf.sprintf "node %d failed" node
-  | Promoted { home; by; replica } ->
-      Printf.sprintf "range %d promoted to node %d (replica %d)" home by replica
-
-let format_member = function
-  | Membership.View_change { epoch; reason } ->
-      Printf.sprintf "view -> e%d (%s)" epoch reason
-  | Handoff_prepared { home; from_node; to_node } ->
-      Printf.sprintf "handoff prepare: range %d, %d -> %d" home from_node
-        to_node
-  | Handoff_committed { home; from_node; to_node; epoch } ->
-      Printf.sprintf "handoff commit: range %d, %d -> %d (e%d)" home from_node
-        to_node epoch
-  | Handoff_aborted { home; from_node; to_node; reason } ->
-      Printf.sprintf "handoff abort: range %d, %d -> %d (%s)" home from_node
-        to_node reason
-  | Chain_reseeded { home; server; hosts } ->
-      Printf.sprintf "chain reseed: range %d on node %d, replicas [%s]" home
-        server
-        (String.concat "; " (List.map string_of_int hosts))
+(* A colored address rebuilt from an event's physical address and color. *)
+let gstr ~a ~c =
+  Format.asprintf "%a" Gaddr.pp (Gaddr.with_color (Gaddr.of_int_exn a) c)
 
 let format_trace tr =
-  let body =
-    match tr.tr_ev with
-    | Tr_proto (thread, ev) ->
-        Printf.sprintf "thr %d: %s" thread (format_proto ev)
-    | Tr_cache ev -> format_cache ev
-    | Tr_rc (thread, ev) -> Printf.sprintf "thr %d: %s" thread (format_rc ev)
-    | Tr_lock ev -> format_lock ev
-    | Tr_failover ev -> format_failover ev
-    | Tr_member ev -> format_member ev
+  let line =
+    Format.asprintf "%a" Flight.pp_event
+      {
+        Flight.ev_time = tr.tr_time;
+        ev_node = tr.tr_node;
+        ev_kind = tr.tr_kind;
+        ev_a = tr.tr_a;
+        ev_b = tr.tr_b;
+        ev_c = tr.tr_c;
+        ev_d = tr.tr_d;
+      }
   in
-  Printf.sprintf "t=%.9f node %d: %s" tr.tr_time tr.tr_node body
+  if tr.tr_thread >= 0 then Printf.sprintf "%s [thread %d]" line tr.tr_thread
+  else line
 
 (* ------------------------------------------------------------------ *)
 (* Violation machinery                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let ring_push t entry =
-  let n = Array.length t.ring in
-  t.ring.(t.ring_idx mod n) <- Some entry;
-  t.ring_idx <- t.ring_idx + 1
-
-let ring_lines t =
-  let n = Array.length t.ring in
-  let out = ref [] in
-  for i = 0 to min 5 (n - 1) do
-    let idx = t.ring_idx - 1 - i in
-    if idx >= 0 then
-      match t.ring.(idx mod n) with
-      | Some (time, verb, from, target, bytes) ->
-          out :=
-            Printf.sprintf "fabric %s %d -> %d (%dB) t=%.9f" verb from target
-              bytes time
-            :: !out
-      | None -> ()
-  done;
-  !out (* oldest first *)
-
-let violate t inv ~time ~node ~thread ~addr ~detail hist =
+(* Report a violation attributed to the event [tr]. *)
+let report t tr inv ~addr detail hist =
+  let time = tr.tr_time and node = tr.tr_node and thread = tr.tr_thread in
   t.report_count <- t.report_count + 1;
   Metrics.incr t.counter;
+  let fl = Cluster.flight t.cluster in
+  (* Provenance: the entity's shadow history, then the offending node's
+     most recent black-box events (its fabric traffic among them). *)
   let prov =
     (match hist with
     | None -> []
     | Some h -> List.rev_map format_trace h.h_items)
-    @ ring_lines t
+    @ Flight.render_last ~limit:6 (Flight.events fl) ~node
   in
   let r =
     { invariant = inv; time; node; thread; addr; detail; provenance = prov }
@@ -314,8 +215,7 @@ let violate t inv ~time ~node ~thread ~addr ~detail hist =
   (* A violation is the canonical dump trigger: land the event on the
      offending node's ring, then write the black box out while the ring
      tail still explains the failure (docs/FORENSICS.md). *)
-  let fl = Cluster.flight t.cluster in
-  Flight.record fl ~node ~time ~kind:Flight.k_dsan_violation
+  Flight.record fl ~node ~time ~thread ~kind:Flight.k_dsan_violation
     ~a:(match addr with Some a -> a | None -> -1)
     ~b:(invariant_index inv) ~c:thread ~d:0;
   ignore
@@ -325,460 +225,323 @@ let violate t inv ~time ~node ~thread ~addr ~detail hist =
   match t.mode with Record -> () | Raise -> raise (Violation r)
 
 (* ------------------------------------------------------------------ *)
-(* Protocol events                                                     *)
+(* Object events: creation, reads, writes, borrows, transfer, drop     *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_shadow ~color ~size ~box ~home =
+let fresh_shadow ~color ~home =
   {
     sh_color = color;
-    sh_size = size;
     sh_status = Owned;
-    sh_box = box;
     sh_home = home;
     sh_copies = Hashtbl.create 4;
     sh_hist = histo ();
   }
 
-let observe_protocol t ~time ~node ~thread ev =
-  let viol inv ~addr detail hist =
-    violate t inv ~time ~node ~thread ~addr ~detail hist
-  in
-  let record sh = hist_push sh.sh_hist { tr_time = time; tr_node = node; tr_ev = Tr_proto (thread, ev) } in
-  match ev with
-  | Protocol.Ev_create { g; size } ->
-      let p = phys g in
-      (match Hashtbl.find_opt t.shadows p with
-      | Some sh when sh.sh_status <> Dead ->
-          viol Single_owner ~addr:(Some p)
-            (Printf.sprintf
-               "second owner registered at %s while the address is live"
-               (gstr g))
+(* Reads.  [d = 1] on [read_local] (and every [read_remote]) marks a
+   read through the reader's own mutable borrow: legal by construction,
+   so it is only recorded.  [read_fetch] fires before the fabric
+   round-trip, so the color may legally advance while it is in flight. *)
+let check_read t tr sh =
+  let k = tr.tr_kind and a = tr.tr_a and c = tr.tr_c and d = tr.tr_d in
+  if k = Flight.k_read_remote || (k = Flight.k_read_local && d = 1) then ()
+  else if sh.sh_status = Dead then
+    report t tr Use_after_free ~addr:(Some a)
+      (Printf.sprintf "read of dropped object %s" (gstr ~a ~c))
+      (Some sh.sh_hist)
+  else begin
+    if sh.sh_status = Mut then
+      report t tr Borrow_discipline ~addr:(Some a)
+        (Printf.sprintf "read of %s while mutably borrowed" (gstr ~a ~c))
+        (Some sh.sh_hist);
+    if k = Flight.k_read_cached && d <> sh.sh_color then
+      report t tr Stale_cache_read ~addr:(Some a)
+        (Printf.sprintf
+           "read served from cached copy %s but the current colored address \
+            is c%d"
+           (gstr ~a ~c:d) sh.sh_color)
+        (Some sh.sh_hist)
+    else if k = Flight.k_read_local && c <> sh.sh_color then
+      report t tr Stale_cache_read ~addr:(Some a)
+        (Printf.sprintf
+           "local read through stale address %s (current color c%d)"
+           (gstr ~a ~c) sh.sh_color)
+        (Some sh.sh_hist)
+  end
+
+(* Writes: [a] is the physical address after, [b] the one before
+   (bump/move), [c] the new color, [d] the new home. *)
+let observe_write t tr =
+  let k = tr.tr_kind and pa = tr.tr_a and c = tr.tr_c in
+  let pb = if k = Flight.k_write_inplace then pa else tr.tr_b in
+  match Hashtbl.find_opt t.shadows pb with
+  | None ->
+      (* lineage unknown (created before attach): start tracking *)
+      let sh = fresh_shadow ~color:c ~home:tr.tr_d in
+      Hashtbl.replace t.shadows pa sh;
+      hist_push sh.sh_hist tr
+  | Some sh ->
+      (match sh.sh_status with
+      | Dead ->
+          report t tr Use_after_free ~addr:(Some pb)
+            (Printf.sprintf "write to dropped object %s"
+               (gstr ~a:pb ~c:sh.sh_color))
             (Some sh.sh_hist)
-      | _ -> ());
-      let sh =
-        fresh_shadow ~color:(Gaddr.color_of g) ~size ~box:node
-          ~home:(Gaddr.node_of g)
+      | Shared n ->
+          report t tr Borrow_discipline ~addr:(Some pb)
+            (Printf.sprintf
+               "write to %s while %d immutable borrow(s) outstanding"
+               (gstr ~a:pb ~c:sh.sh_color) n)
+            (Some sh.sh_hist)
+      | Owned | Mut -> ());
+      if k = Flight.k_write_inplace then begin
+        let reachable =
+          Drust_util.Tables.sorted_bindings sh.sh_copies ~cmp:Int.compare
+          |> List.filter_map (fun (n, col) ->
+                 if col = sh.sh_color then Some n else None)
+        in
+        if reachable <> [] then
+          report t tr Move_invalidation ~addr:(Some pb)
+            (Printf.sprintf
+               "in-place write at %s with cached copies still reachable under \
+                the current color on node(s) %s — a move or color bump must \
+                make prior copies unreachable before the value changes"
+               (gstr ~a:pa ~c)
+               (String.concat ", " (List.map string_of_int reachable)))
+            (Some sh.sh_hist)
+      end
+      else if k = Flight.k_write_bump then sh.sh_color <- c
+      else begin
+        Hashtbl.remove t.shadows pb;
+        (match Hashtbl.find_opt t.shadows pa with
+        | Some other when other.sh_status <> Dead ->
+            report t tr Single_owner ~addr:(Some pa)
+              (Printf.sprintf "move of %s onto live address %s"
+                 (gstr ~a:pb ~c:sh.sh_color) (gstr ~a:pa ~c))
+              (Some other.sh_hist)
+        | _ -> ());
+        (* the old address's copies belong to a dead lineage now; their
+           invalidations will no-op against this shadow *)
+        Hashtbl.reset sh.sh_copies;
+        sh.sh_color <- c;
+        sh.sh_home <- tr.tr_d;
+        Hashtbl.replace t.shadows pa sh
+      end;
+      hist_push sh.sh_hist tr
+
+(* The object an event is about, as a colored address (reports only). *)
+let obj tr = gstr ~a:tr.tr_a ~c:tr.tr_c
+
+let borrow_violation t tr sh fmt =
+  Printf.ksprintf
+    (fun detail ->
+      report t tr Borrow_discipline ~addr:(Some tr.tr_a) detail
+        (Some sh.sh_hist))
+    fmt
+
+(* The borrow automaton, ownership transfer and drop. *)
+let check_ownership t tr sh =
+  let k = tr.tr_kind in
+  match sh.sh_status with
+  | Dead ->
+      let what =
+        if k = Flight.k_borrow_imm then "immutable borrow of dropped object"
+        else if k = Flight.k_return_imm then "immutable return on dropped object"
+        else if k = Flight.k_borrow_mut then "mutable borrow of dropped object"
+        else if k = Flight.k_return_mut then "mutable return on dropped object"
+        else if k = Flight.k_transfer then "ownership transfer of dropped object"
+        else "double drop of"
       in
-      Hashtbl.replace t.shadows p sh;
-      record sh
-  | Ev_read { g; path } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (if sh.sh_status = Dead then
-             viol Use_after_free ~addr:(Some p)
-               (Printf.sprintf "read of dropped object %s" (gstr g))
-               (Some sh.sh_hist)
-           else begin
-             (match sh.sh_status with
-             | Mut ->
-                 viol Borrow_discipline ~addr:(Some p)
-                   (Printf.sprintf "read of %s while mutably borrowed" (gstr g))
-                   (Some sh.sh_hist)
-             | _ -> ());
-             match path with
-             | Protocol.Path_cache key ->
-                 if Gaddr.color_of key <> sh.sh_color then
-                   viol Stale_cache_read ~addr:(Some p)
-                     (Printf.sprintf
-                        "read served from cached copy %s but the current \
-                         colored address is c%d"
-                        (gstr key) sh.sh_color)
-                     (Some sh.sh_hist)
-             | Path_local ->
-                 if Gaddr.color_of g <> sh.sh_color then
-                   viol Stale_cache_read ~addr:(Some p)
-                     (Printf.sprintf
-                        "local read through stale address %s (current color \
-                         c%d)"
-                        (gstr g) sh.sh_color)
-                     (Some sh.sh_hist)
-             | Path_fetch ->
-                 (* fetch completion is emitted after a fabric round-trip,
-                    so the color may legally have advanced meanwhile *)
-                 ()
-           end);
-          record sh)
-  | Ev_write { before; after; size; kind } -> (
-      let pb = phys before and pa = phys after in
-      match Hashtbl.find_opt t.shadows pb with
-      | None ->
-          (* lineage unknown (created before attach): start tracking *)
-          let sh =
-            fresh_shadow ~color:(Gaddr.color_of after) ~size ~box:node
-              ~home:(Gaddr.node_of after)
-          in
-          Hashtbl.replace t.shadows pa sh;
-          record sh
-      | Some sh ->
-          (match sh.sh_status with
-          | Dead ->
-              viol Use_after_free ~addr:(Some pb)
-                (Printf.sprintf "write to dropped object %s" (gstr before))
-                (Some sh.sh_hist)
-          | Shared n ->
-              viol Borrow_discipline ~addr:(Some pb)
-                (Printf.sprintf
-                   "write to %s while %d immutable borrow(s) outstanding"
-                   (gstr before) n)
-                (Some sh.sh_hist)
-          | Owned | Mut -> ());
-          (match kind with
-          | Protocol.W_in_place ->
-              let reachable =
-                Drust_util.Tables.sorted_bindings sh.sh_copies ~cmp:Int.compare
-                |> List.filter_map (fun (n, c) ->
-                       if c = sh.sh_color then Some n else None)
-              in
-              if reachable <> [] then
-                viol Move_invalidation ~addr:(Some pb)
-                  (Printf.sprintf
-                     "in-place write at %s with cached copies still reachable \
-                      under the current color on node(s) %s — a move or \
-                      color bump must make prior copies unreachable before \
-                      the value changes"
-                     (gstr after)
-                     (String.concat ", "
-                        (List.map string_of_int reachable)))
-                  (Some sh.sh_hist)
-          | W_bump ->
-              sh.sh_color <- Gaddr.color_of after;
-              sh.sh_size <- size
-          | W_move ->
-              Hashtbl.remove t.shadows pb;
-              (match Hashtbl.find_opt t.shadows pa with
-              | Some other when other.sh_status <> Dead ->
-                  viol Single_owner ~addr:(Some pa)
-                    (Printf.sprintf "move of %s onto live address %s"
-                       (gstr before) (gstr after))
-                    (Some other.sh_hist)
-              | _ -> ());
-              (* the old address's copies belong to a dead lineage now;
-                 their invalidations will no-op against this shadow *)
-              Hashtbl.reset sh.sh_copies;
-              sh.sh_color <- Gaddr.color_of after;
-              sh.sh_size <- size;
-              sh.sh_home <- Gaddr.node_of after;
-              Hashtbl.replace t.shadows pa sh);
-          record sh)
-  | Ev_borrow_imm { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
-          | Dead ->
-              viol Use_after_free ~addr:(Some p)
-                (Printf.sprintf "immutable borrow of dropped object %s"
-                   (gstr g))
-                (Some sh.sh_hist)
-          | Mut ->
-              viol Borrow_discipline ~addr:(Some p)
-                (Printf.sprintf
-                   "immutable borrow of %s while mutably borrowed" (gstr g))
-                (Some sh.sh_hist)
-          | Owned -> sh.sh_status <- Shared 1
-          | Shared n -> sh.sh_status <- Shared (n + 1));
-          record sh)
-  | Ev_return_imm { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
-          | Shared 1 -> sh.sh_status <- Owned
-          | Shared n -> sh.sh_status <- Shared (n - 1)
-          | Dead ->
-              viol Use_after_free ~addr:(Some p)
-                (Printf.sprintf "immutable return on dropped object %s"
-                   (gstr g))
-                (Some sh.sh_hist)
-          | Owned | Mut ->
-              viol Borrow_discipline ~addr:(Some p)
-                (Printf.sprintf "unbalanced immutable return on %s" (gstr g))
-                (Some sh.sh_hist));
-          record sh)
-  | Ev_borrow_mut { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
-          | Dead ->
-              viol Use_after_free ~addr:(Some p)
-                (Printf.sprintf "mutable borrow of dropped object %s" (gstr g))
-                (Some sh.sh_hist)
-          | Shared n ->
-              viol Borrow_discipline ~addr:(Some p)
-                (Printf.sprintf
-                   "mutable borrow of %s while %d immutable borrow(s) \
-                    outstanding"
-                   (gstr g) n)
-                (Some sh.sh_hist)
-          | Mut ->
-              viol Borrow_discipline ~addr:(Some p)
-                (Printf.sprintf "second mutable borrow of %s" (gstr g))
-                (Some sh.sh_hist)
-          | Owned -> sh.sh_status <- Mut);
-          record sh)
-  | Ev_return_mut { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
-          | Mut -> sh.sh_status <- Owned
-          | Dead ->
-              viol Use_after_free ~addr:(Some p)
-                (Printf.sprintf "mutable return on dropped object %s" (gstr g))
-                (Some sh.sh_hist)
-          | Owned | Shared _ ->
-              viol Borrow_discipline ~addr:(Some p)
-                (Printf.sprintf "unbalanced mutable return on %s" (gstr g))
-                (Some sh.sh_hist));
-          record sh)
-  | Ev_transfer { g; to_node } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
-          | Dead ->
-              viol Use_after_free ~addr:(Some p)
-                (Printf.sprintf "ownership transfer of dropped object %s"
-                   (gstr g))
-                (Some sh.sh_hist)
-          | Shared _ | Mut ->
-              viol Borrow_discipline ~addr:(Some p)
-                (Printf.sprintf "ownership transfer of %s while borrowed"
-                   (gstr g))
-                (Some sh.sh_hist)
-          | Owned -> ());
-          sh.sh_box <- to_node;
-          record sh)
-  | Ev_drop { g } -> (
-      let p = phys g in
-      match Hashtbl.find_opt t.shadows p with
-      | None -> ()
-      | Some sh ->
-          (match sh.sh_status with
-          | Dead ->
-              viol Use_after_free ~addr:(Some p)
-                (Printf.sprintf "double drop of %s" (gstr g))
-                (Some sh.sh_hist)
-          | Shared _ | Mut ->
-              viol Borrow_discipline ~addr:(Some p)
-                (Printf.sprintf "drop of %s while borrowed" (gstr g))
-                (Some sh.sh_hist)
-          | Owned -> ());
-          sh.sh_status <- Dead;
-          record sh)
-  | Ev_app { g; _ } -> (
-      match Hashtbl.find_opt t.shadows (phys g) with
-      | Some sh -> record sh
-      | None -> ())
+      report t tr Use_after_free ~addr:(Some tr.tr_a)
+        (Printf.sprintf "%s %s" what (obj tr))
+        (Some sh.sh_hist)
+  | status ->
+      if k = Flight.k_borrow_imm then (
+        match status with
+        | Mut ->
+            borrow_violation t tr sh
+              "immutable borrow of %s while mutably borrowed" (obj tr)
+        | Shared n -> sh.sh_status <- Shared (n + 1)
+        | Owned | Dead -> sh.sh_status <- Shared 1)
+      else if k = Flight.k_return_imm then (
+        match status with
+        | Shared 1 -> sh.sh_status <- Owned
+        | Shared n -> sh.sh_status <- Shared (n - 1)
+        | Owned | Mut | Dead ->
+            borrow_violation t tr sh "unbalanced immutable return on %s"
+              (obj tr))
+      else if k = Flight.k_borrow_mut then (
+        match status with
+        | Shared n ->
+            borrow_violation t tr sh
+              "mutable borrow of %s while %d immutable borrow(s) outstanding"
+              (obj tr) n
+        | Mut -> borrow_violation t tr sh "second mutable borrow of %s" (obj tr)
+        | Owned | Dead -> sh.sh_status <- Mut)
+      else if k = Flight.k_return_mut then (
+        match status with
+        | Mut -> sh.sh_status <- Owned
+        | Owned | Shared _ | Dead ->
+            borrow_violation t tr sh "unbalanced mutable return on %s" (obj tr))
+      else if k = Flight.k_transfer then (
+        match status with
+        | Shared _ | Mut ->
+            borrow_violation t tr sh "ownership transfer of %s while borrowed"
+              (obj tr)
+        | Owned | Dead -> ())
+      else begin
+        (match status with
+        | Shared _ | Mut ->
+            borrow_violation t tr sh "drop of %s while borrowed" (obj tr)
+        | Owned | Dead -> ());
+        sh.sh_status <- Dead
+      end
+
+let observe_object t tr =
+  let k = tr.tr_kind and a = tr.tr_a in
+  if k = Flight.k_create then begin
+    (match Hashtbl.find_opt t.shadows a with
+    | Some sh when sh.sh_status <> Dead ->
+        report t tr Single_owner ~addr:(Some a)
+          (Printf.sprintf
+             "second owner registered at %s while the address is live" (obj tr))
+          (Some sh.sh_hist)
+    | _ -> ());
+    let sh = fresh_shadow ~color:tr.tr_c ~home:tr.tr_b in
+    Hashtbl.replace t.shadows a sh;
+    hist_push sh.sh_hist tr
+  end
+  else if k >= Flight.k_write_inplace && k <= Flight.k_write_move then
+    observe_write t tr
+  else
+    match Hashtbl.find_opt t.shadows a with
+    | None -> ()
+    | Some sh ->
+        if k <= Flight.k_read_remote then check_read t tr sh
+        else check_ownership t tr sh;
+        hist_push sh.sh_hist tr
 
 (* ------------------------------------------------------------------ *)
 (* Cache events                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let observe_cache t ~time ~node ev =
-  let key =
-    match ev with
-    | Cache.Hit { key }
-    | Insert { key; _ }
-    | Release { key; _ }
-    | Invalidate { key } ->
-        key
-    | Stale_miss { sought; _ } -> sought
-  in
-  let p = phys key in
+let observe_cache t tr =
+  let k = tr.tr_kind and p = tr.tr_a and node = tr.tr_node in
   let sh = Hashtbl.find_opt t.shadows p in
-  let hist = Option.map (fun s -> s.sh_hist) sh in
-  let viol inv detail =
-    violate t inv ~time ~node ~thread:(-1) ~addr:(Some p) ~detail hist
-  in
-  (match (ev, sh) with
-  | Cache.Hit { key }, Some s when s.sh_status <> Dead ->
-      if Gaddr.color_of key <> s.sh_color then
-        viol Stale_cache_read
+  (match sh with
+  | Some s when k = Flight.k_cache_hit && s.sh_status <> Dead ->
+      if tr.tr_c <> s.sh_color then
+        report t tr Stale_cache_read ~addr:(Some p)
           (Printf.sprintf
              "cache on node %d served a hit for %s whose color is stale \
               (current c%d)"
-             node (gstr key) s.sh_color)
-  | Insert { key; _ }, Some s when s.sh_status <> Dead ->
-      Hashtbl.replace s.sh_copies node (Gaddr.color_of key)
-  | Release { refcount; _ }, _ ->
-      if refcount < 0 then
-        viol Refcount_sanity
-          (Printf.sprintf
-             "cache copy pin count underflow on node %d (rc=%d)" node refcount)
-  | Invalidate _, Some s -> Hashtbl.remove s.sh_copies node
+             node (obj tr) s.sh_color)
+          (Some s.sh_hist)
+  | Some s when k = Flight.k_cache_insert && s.sh_status <> Dead ->
+      Hashtbl.replace s.sh_copies node tr.tr_c
+  | Some s when k = Flight.k_cache_invalidate -> Hashtbl.remove s.sh_copies node
   | _ -> ());
-  match sh with
-  | Some s ->
-      hist_push s.sh_hist { tr_time = time; tr_node = node; tr_ev = Tr_cache ev }
-  | None -> ()
+  if k = Flight.k_cache_release && tr.tr_b < 0 then
+    report t tr Refcount_sanity ~addr:(Some p)
+      (Printf.sprintf "cache copy pin count underflow on node %d (rc=%d)" node
+         tr.tr_b)
+      (Option.map (fun s -> s.sh_hist) sh);
+  match sh with Some s -> hist_push s.sh_hist tr | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Refcount events (darc + drc)                                        *)
+(* Refcount events (darc + drc): [b] is the implementation's count     *)
 (* ------------------------------------------------------------------ *)
 
-let observe_rc t ~time ~node ~thread ev =
-  let g =
-    match ev with
-    | Darc.Rc_created { g; _ }
-    | Rc_retained { g; _ }
-    | Rc_released { g; _ }
-    | Rc_freed { g } ->
-        g
-  in
-  let p = phys g in
-  let rc = Hashtbl.find_opt t.rcs p in
-  let viol inv detail hist =
-    violate t inv ~time ~node ~thread ~addr:(Some p) ~detail hist
-  in
-  let tr = { tr_time = time; tr_node = node; tr_ev = Tr_rc (thread, ev) } in
-  match ev with
-  | Darc.Rc_created { count; _ } ->
+let track_rc t tr ~expected =
+  let r = { rc_expected = expected; rc_freed = false; rc_hist = histo () } in
+  Hashtbl.replace t.rcs tr.tr_a r;
+  hist_push r.rc_hist tr
+
+let observe_rc t tr =
+  let k = tr.tr_kind and p = tr.tr_a and count = tr.tr_b in
+  match Hashtbl.find_opt t.rcs p with
+  | rc when k = Flight.k_rc_create ->
       if count <> 1 then
-        viol Refcount_sanity
+        report t tr Refcount_sanity ~addr:(Some p)
           (Printf.sprintf "refcounted cell %s created with count %d, not 1"
-             (gstr g) count)
+             (obj tr) count)
           (Option.map (fun r -> r.rc_hist) rc);
-      let r = { rc_expected = count; rc_freed = false; rc_hist = histo () } in
-      Hashtbl.replace t.rcs p r;
-      hist_push r.rc_hist tr
-  | Rc_retained { count; _ } -> (
-      match rc with
-      | None ->
-          let r =
-            { rc_expected = count; rc_freed = false; rc_hist = histo () }
-          in
-          Hashtbl.replace t.rcs p r;
-          hist_push r.rc_hist tr
-      | Some r ->
-          if r.rc_freed then
-            viol Use_after_free
-              (Printf.sprintf "retain of freed cell %s" (gstr g))
-              (Some r.rc_hist)
-          else begin
-            r.rc_expected <- r.rc_expected + 1;
-            if count <> r.rc_expected then begin
-              viol Refcount_sanity
-                (Printf.sprintf
-                   "refcount diverged on retain of %s: implementation says \
-                    %d, shadow says %d"
-                   (gstr g) count r.rc_expected)
-                (Some r.rc_hist);
-              r.rc_expected <- count
-            end
-          end;
-          hist_push r.rc_hist tr)
-  | Rc_released { count; _ } -> (
-      match rc with
-      | None -> ()
-      | Some r ->
-          if r.rc_freed then
-            viol Use_after_free
-              (Printf.sprintf "release of freed cell %s" (gstr g))
-              (Some r.rc_hist)
-          else begin
-            r.rc_expected <- r.rc_expected - 1;
-            if count <> r.rc_expected then begin
-              viol Refcount_sanity
-                (Printf.sprintf
-                   "refcount diverged on release of %s: implementation says \
-                    %d, shadow says %d"
-                   (gstr g) count r.rc_expected)
-                (Some r.rc_hist);
-              r.rc_expected <- count
-            end;
-            if r.rc_expected < 0 then
-              viol Refcount_sanity
-                (Printf.sprintf "refcount of %s went negative (%d)" (gstr g)
-                   r.rc_expected)
-                (Some r.rc_hist)
-          end;
-          hist_push r.rc_hist tr)
-  | Rc_freed _ -> (
-      match rc with
-      | None -> ()
-      | Some r ->
-          if r.rc_freed then
-            viol Use_after_free
-              (Printf.sprintf "double free of cell %s" (gstr g))
-              (Some r.rc_hist)
-          else begin
-            if r.rc_expected <> 0 then
-              viol Refcount_sanity
-                (Printf.sprintf "cell %s freed with nonzero refcount (%d)"
-                   (gstr g) r.rc_expected)
-                (Some r.rc_hist);
-            r.rc_freed <- true
-          end;
-          hist_push r.rc_hist tr)
-
-(* ------------------------------------------------------------------ *)
-(* Lock events                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let observe_lock t ~time ~node ~thread ev =
-  let g =
-    match ev with
-    | Dmutex.Lock_created { g }
-    | Lock_acquired { g; _ }
-    | Lock_released { g; _ } ->
-        g
-  in
-  let p = phys g in
-  let tr = { tr_time = time; tr_node = node; tr_ev = Tr_lock ev } in
-  let viol inv detail hist =
-    violate t inv ~time ~node ~thread ~addr:(Some p) ~detail hist
-  in
-  match ev with
-  | Dmutex.Lock_created _ ->
-      let l = { lk_holder = None; lk_hist = histo () } in
-      Hashtbl.replace t.locks p l;
-      hist_push l.lk_hist tr
-  | Lock_acquired { thread = th; _ } ->
-      let l =
-        match Hashtbl.find_opt t.locks p with
-        | Some l -> l
-        | None ->
-            let l = { lk_holder = None; lk_hist = histo () } in
-            Hashtbl.replace t.locks p l;
-            l
+      track_rc t tr ~expected:count
+  | None -> if k = Flight.k_rc_retain then track_rc t tr ~expected:count
+  | Some r ->
+      let viol inv detail =
+        report t tr inv ~addr:(Some p) detail (Some r.rc_hist)
       in
+      let verb = if k = Flight.k_rc_retain then "retain" else "release" in
+      if r.rc_freed then
+        viol Use_after_free
+          (if k = Flight.k_rc_free then
+             Printf.sprintf "double free of cell %s" (obj tr)
+           else Printf.sprintf "%s of freed cell %s" verb (obj tr))
+      else if k = Flight.k_rc_free then begin
+        if r.rc_expected <> 0 then
+          viol Refcount_sanity
+            (Printf.sprintf "cell %s freed with nonzero refcount (%d)" (obj tr)
+               r.rc_expected);
+        r.rc_freed <- true
+      end
+      else begin
+        r.rc_expected <-
+          (if k = Flight.k_rc_retain then r.rc_expected + 1
+           else r.rc_expected - 1);
+        if count <> r.rc_expected then begin
+          viol Refcount_sanity
+            (Printf.sprintf
+               "refcount diverged on %s of %s: implementation says %d, shadow \
+                says %d"
+               verb (obj tr) count r.rc_expected);
+          r.rc_expected <- count
+        end;
+        if k = Flight.k_rc_release && r.rc_expected < 0 then
+          viol Refcount_sanity
+            (Printf.sprintf "refcount of %s went negative (%d)" (obj tr)
+               r.rc_expected)
+      end;
+      hist_push r.rc_hist tr
+
+(* ------------------------------------------------------------------ *)
+(* Lock events: [b] is the acting thread                               *)
+(* ------------------------------------------------------------------ *)
+
+let lock_violation t tr l fmt =
+  Printf.ksprintf
+    (fun detail ->
+      report t tr Lock_discipline ~addr:(Some tr.tr_a) detail (Some l.lk_hist))
+    fmt
+
+let fresh_lock t p =
+  let l = { lk_holder = None; lk_hist = histo () } in
+  Hashtbl.replace t.locks p l;
+  l
+
+let observe_lock t tr =
+  let k = tr.tr_kind and p = tr.tr_a and th = tr.tr_b in
+  match Hashtbl.find_opt t.locks p with
+  | _ when k = Flight.k_lock_create -> hist_push (fresh_lock t p).lk_hist tr
+  | l when k = Flight.k_lock_acquire ->
+      let l = match l with Some l -> l | None -> fresh_lock t p in
       (match l.lk_holder with
       | Some h ->
-          viol Lock_discipline
-            (Printf.sprintf
-               "lock %s granted to thread %d while held by thread %d" (gstr g)
-               th h)
-            (Some l.lk_hist)
+          lock_violation t tr l
+            "lock %s granted to thread %d while held by thread %d" (obj tr) th h
       | None -> ());
       l.lk_holder <- Some th;
       hist_push l.lk_hist tr
-  | Lock_released { thread = th; _ } -> (
-      match Hashtbl.find_opt t.locks p with
-      | None -> ()
-      | Some l ->
-          (match l.lk_holder with
-          | Some h when h = th -> l.lk_holder <- None
-          | Some h ->
-              viol Lock_discipline
-                (Printf.sprintf
-                   "lock %s released by thread %d but held by thread %d"
-                   (gstr g) th h)
-                (Some l.lk_hist)
-          | None ->
-              viol Lock_discipline
-                (Printf.sprintf "lock %s released by thread %d while unheld"
-                   (gstr g) th)
-                (Some l.lk_hist));
-          hist_push l.lk_hist tr)
+  | None -> ()
+  | Some l ->
+      (match l.lk_holder with
+      | Some h when h = th -> l.lk_holder <- None
+      | Some h ->
+          lock_violation t tr l
+            "lock %s released by thread %d but held by thread %d" (obj tr) th h
+      | None ->
+          lock_violation t tr l "lock %s released by thread %d while unheld"
+            (obj tr) th);
+      hist_push l.lk_hist tr
 
 (* ------------------------------------------------------------------ *)
 (* Failover events                                                     *)
@@ -788,7 +551,7 @@ let observe_lock t ~time ~node ~thread ev =
    changes server, no alive cache may still hold a copy of it — a lagging
    replica (failover) or the old server's image (handoff) would otherwise
    keep serving superseded values under still-current colors. *)
-let check_range_purged t ~time ~node ~why ~home tr =
+let check_range_purged t tr ~why ~home =
   (* Address-sorted so any violation report lists objects in a stable
      order, not the shadow table's bucket order. *)
   List.iter
@@ -799,168 +562,196 @@ let check_range_purged t ~time ~node ~why ~home tr =
           |> List.filter (fun n -> n < Array.length t.alive && t.alive.(n))
         in
         if survivors <> [] then begin
-          violate t Move_invalidation ~time ~node ~thread:(-1) ~addr:(Some p)
-            ~detail:
-              (Printf.sprintf
-                 "cached copies of range %d survived %s on node(s) %s" home why
-                 (String.concat ", " (List.map string_of_int survivors)))
+          report t tr Move_invalidation ~addr:(Some p)
+            (Printf.sprintf
+               "cached copies of range %d survived %s on node(s) %s" home why
+               (String.concat ", " (List.map string_of_int survivors)))
             (Some sh.sh_hist);
           hist_push sh.sh_hist tr
         end
       end)
     (Drust_util.Tables.sorted_bindings t.shadows ~cmp:Int.compare)
 
-let observe_failover t ~time ~node ev =
-  let tr = { tr_time = time; tr_node = node; tr_ev = Tr_failover ev } in
-  let viol inv ~addr detail hist =
-    violate t inv ~time ~node ~thread:(-1) ~addr ~detail hist
-  in
-  match ev with
-  | Replication.Node_failed { node = n } ->
-      if n >= 0 && n < Array.length t.alive then t.alive.(n) <- false
-  | Promoted { home; by; replica = _ } ->
-      let cur = if home < Array.length t.serving then t.serving.(home) else by in
-      if cur < Array.length t.alive && t.alive.(cur) then
-        viol Promotion_uniqueness ~addr:None
-          (Printf.sprintf
-             "range %d promoted to node %d while node %d still serves it \
-              alive"
-             home by cur)
-          None;
-      if by < Array.length t.alive && not t.alive.(by) then
-        viol Promotion_uniqueness ~addr:None
-          (Printf.sprintf "range %d promoted to dead node %d" home by)
-          None;
-      (* A failover promotion may race a planned handoff of the same
-         range (server died mid-transfer): the coordinator aborts its
-         side when the copy fails, and the prepare record is cleared
-         here.  Both endpoints still being alive means the promotion had
-         no business pre-empting the handoff. *)
-      (match Hashtbl.find_opt t.pending_handoffs home with
-      | Some (f, to_) ->
-          if
-            f < Array.length t.alive && t.alive.(f)
-            && to_ < Array.length t.alive
-            && t.alive.(to_)
-          then
-            viol Handoff_atomicity ~addr:None
-              (Printf.sprintf
-                 "failover promotion of range %d raced a live handoff %d -> %d"
-                 home f to_)
-              None;
-          Hashtbl.remove t.pending_handoffs home
-      | None -> ());
-      if home < Array.length t.serving then t.serving.(home) <- by;
-      (* After a promotion the surviving caches must hold no copy of the
-         promoted range: the replica may lag the lost primary, so those
-         copies can carry rolled-back values under still-current colors. *)
-      check_range_purged t ~time ~node ~why:"failover" ~home tr
+let range_violation t tr inv detail = report t tr inv ~addr:None detail None
+
+let is_alive t n = n >= 0 && n < Array.length t.alive && t.alive.(n)
+
+let observe_failover t tr =
+  if tr.tr_kind = Flight.k_node_failed then begin
+    let n = tr.tr_a in
+    if n >= 0 && n < Array.length t.alive then t.alive.(n) <- false
+  end
+  else begin
+    let home = tr.tr_a and by = tr.tr_b in
+    let viol inv fmt = Printf.ksprintf (range_violation t tr inv) fmt in
+    let cur = if home < Array.length t.serving then t.serving.(home) else by in
+    if is_alive t cur then
+      viol Promotion_uniqueness
+        "range %d promoted to node %d while node %d still serves it alive" home
+        by cur;
+    if by < Array.length t.alive && not t.alive.(by) then
+      viol Promotion_uniqueness "range %d promoted to dead node %d" home by;
+    (* A failover promotion may race a planned handoff of the same range
+       (server died mid-transfer): the coordinator aborts its side when
+       the copy fails, and the prepare record is cleared here.  Both
+       endpoints still being alive means the promotion had no business
+       pre-empting the handoff. *)
+    (match Hashtbl.find_opt t.pending_handoffs home with
+    | Some (f, to_) ->
+        if is_alive t f && is_alive t to_ then
+          viol Handoff_atomicity
+            "failover promotion of range %d raced a live handoff %d -> %d" home
+            f to_;
+        Hashtbl.remove t.pending_handoffs home
+    | None -> ());
+    if home < Array.length t.serving then t.serving.(home) <- by;
+    (* After a promotion the surviving caches must hold no copy of the
+       promoted range: the replica may lag the lost primary, so those
+       copies can carry rolled-back values under still-current colors. *)
+    check_range_purged t tr ~why:"failover" ~home
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Membership events                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let observe_membership t ~time ~node ev =
-  let tr = { tr_time = time; tr_node = node; tr_ev = Tr_member ev } in
-  let viol inv detail =
-    violate t inv ~time ~node ~thread:(-1) ~addr:None ~detail None
-  in
+let observe_membership t tr =
+  let k = tr.tr_kind and home = tr.tr_a in
+  let viol inv fmt = Printf.ksprintf (range_violation t tr inv) fmt in
   let check_epoch epoch =
     if epoch <= t.last_epoch then
       viol Epoch_monotonic
-        (Printf.sprintf
-           "view epoch moved backwards or repeated: saw e%d after e%d" epoch
-           t.last_epoch)
+        "view epoch moved backwards or repeated: saw e%d after e%d" epoch
+        t.last_epoch
     else t.last_epoch <- epoch
   in
-  let alive n = n >= 0 && n < Array.length t.alive && t.alive.(n) in
-  match ev with
-  | Membership.View_change { epoch; reason = _ } -> check_epoch epoch
-  | Handoff_prepared { home; from_node; to_node } ->
-      if Hashtbl.mem t.pending_handoffs home then
-        viol Handoff_atomicity
-          (Printf.sprintf
-             "second handoff of range %d prepared while one is in flight" home);
-      if home < Array.length t.serving && t.serving.(home) <> from_node then
-        viol Handoff_atomicity
-          (Printf.sprintf
-             "handoff of range %d prepared from node %d, but node %d serves it"
-             home from_node t.serving.(home));
-      if not (alive to_node) then
-        viol Handoff_atomicity
-          (Printf.sprintf "handoff of range %d prepared toward dead node %d"
-             home to_node);
-      Hashtbl.replace t.pending_handoffs home (from_node, to_node)
-  | Handoff_committed { home; from_node; to_node; epoch } ->
-      (match Hashtbl.find_opt t.pending_handoffs home with
-      | None ->
+  let serving_mismatch n =
+    home < Array.length t.serving && t.serving.(home) <> n
+  in
+  if k = Flight.k_view_change then check_epoch tr.tr_a
+  else if k = Flight.k_handoff_prepare then begin
+    let from_node = tr.tr_b and to_node = tr.tr_c in
+    if Hashtbl.mem t.pending_handoffs home then
+      viol Handoff_atomicity
+        "second handoff of range %d prepared while one is in flight" home;
+    if serving_mismatch from_node then
+      viol Handoff_atomicity
+        "handoff of range %d prepared from node %d, but node %d serves it" home
+        from_node t.serving.(home);
+    if not (is_alive t to_node) then
+      viol Handoff_atomicity "handoff of range %d prepared toward dead node %d"
+        home to_node;
+    Hashtbl.replace t.pending_handoffs home (from_node, to_node)
+  end
+  else if k = Flight.k_handoff_commit then begin
+    let from_node = tr.tr_b and to_node = tr.tr_c in
+    (match Hashtbl.find_opt t.pending_handoffs home with
+    | None ->
+        viol Handoff_atomicity "handoff of range %d committed without a prepare"
+          home
+    | Some (f, to_) ->
+        if f <> from_node || to_ <> to_node then
           viol Handoff_atomicity
-            (Printf.sprintf "handoff of range %d committed without a prepare"
-               home)
-      | Some (f, to_) ->
-          if f <> from_node || to_ <> to_node then
-            viol Handoff_atomicity
-              (Printf.sprintf
-                 "handoff commit of range %d (%d -> %d) does not match its \
-                  prepare (%d -> %d)"
-                 home from_node to_node f to_));
-      Hashtbl.remove t.pending_handoffs home;
-      (* The serving swap must be a single step from the preparing server
-         to the target: anything else means a window with zero or two
-         servers for the range. *)
-      if home < Array.length t.serving && t.serving.(home) <> from_node then
-        viol Handoff_atomicity
-          (Printf.sprintf
-             "handoff commit of range %d from node %d, but node %d serves it \
-              — the range had two servers"
-             home from_node t.serving.(home));
-      if not (alive to_node) then
-        viol Handoff_atomicity
-          (Printf.sprintf "range %d handed off to dead node %d — the range \
-                           has zero servers"
-             home to_node);
-      if home < Array.length t.serving then t.serving.(home) <- to_node;
-      check_epoch epoch;
-      check_range_purged t ~time ~node ~why:"handoff" ~home tr
-  | Handoff_aborted { home; from_node; to_node; reason = _ } -> (
-      (* No pending record is legal: a failover promotion that raced the
-         crash may have cleared it already. *)
-      match Hashtbl.find_opt t.pending_handoffs home with
-      | None -> ()
-      | Some (f, to_) ->
-          if f <> from_node || to_ <> to_node then
-            viol Handoff_atomicity
-              (Printf.sprintf
-                 "handoff abort of range %d (%d -> %d) does not match its \
-                  prepare (%d -> %d)"
-                 home from_node to_node f to_);
-          Hashtbl.remove t.pending_handoffs home)
-  | Chain_reseeded { home; server; hosts } ->
-      if hosts = [] then
-        viol Replica_chain_intact
-          (Printf.sprintf
-             "range %d has no alive replica host after reseeding" home);
-      let seen = Hashtbl.create 4 in
-      List.iter
-        (fun h ->
-          if Hashtbl.mem seen h then
-            viol Replica_chain_intact
-              (Printf.sprintf
-                 "range %d reseeded twice onto the same host %d" home h);
-          Hashtbl.replace seen h ();
-          if not (alive h) then
-            viol Replica_chain_intact
-              (Printf.sprintf "range %d reseeded onto dead node %d" home h);
-          if h = server then
-            viol Replica_chain_intact
-              (Printf.sprintf
-                 "range %d replica co-located with its server %d" home h))
-        hosts;
-      if home < Array.length t.serving && t.serving.(home) <> server then
-        viol Replica_chain_intact
-          (Printf.sprintf
-             "range %d reseeded around server %d, but node %d serves it" home
-             server t.serving.(home))
+            "handoff commit of range %d (%d -> %d) does not match its prepare \
+             (%d -> %d)"
+            home from_node to_node f to_);
+    Hashtbl.remove t.pending_handoffs home;
+    (* The serving swap must be a single step from the preparing server to
+       the target: anything else means a window with zero or two servers
+       for the range. *)
+    if serving_mismatch from_node then
+      viol Handoff_atomicity
+        "handoff commit of range %d from node %d, but node %d serves it — the \
+         range had two servers"
+        home from_node t.serving.(home);
+    if not (is_alive t to_node) then
+      viol Handoff_atomicity
+        "range %d handed off to dead node %d — the range has zero servers" home
+        to_node;
+    if home < Array.length t.serving then t.serving.(home) <- to_node;
+    check_epoch tr.tr_d;
+    check_range_purged t tr ~why:"handoff" ~home
+  end
+  else if k = Flight.k_handoff_abort then begin
+    (* No pending record is legal: a failover promotion that raced the
+       crash may have cleared it already. *)
+    match Hashtbl.find_opt t.pending_handoffs home with
+    | None -> ()
+    | Some (f, to_) ->
+        if f <> tr.tr_b || to_ <> tr.tr_c then
+          viol Handoff_atomicity
+            "handoff abort of range %d (%d -> %d) does not match its prepare \
+             (%d -> %d)"
+            home tr.tr_b tr.tr_c f to_;
+        Hashtbl.remove t.pending_handoffs home
+  end
+  else if k = Flight.k_chain_reseed then begin
+    (* [c] hosts follow as [chain_host] events. *)
+    t.chain_hosts <- [];
+    if tr.tr_c = 0 then
+      viol Replica_chain_intact
+        "range %d has no alive replica host after reseeding" home;
+    if serving_mismatch tr.tr_b then
+      viol Replica_chain_intact
+        "range %d reseeded around server %d, but node %d serves it" home
+        tr.tr_b t.serving.(home)
+  end
+  else begin
+    let host = tr.tr_b and server = tr.tr_c in
+    if List.mem host t.chain_hosts then
+      viol Replica_chain_intact "range %d reseeded twice onto the same host %d"
+        home host;
+    t.chain_hosts <- host :: t.chain_hosts;
+    if not (is_alive t host) then
+      viol Replica_chain_intact "range %d reseeded onto dead node %d" home host;
+    if host = server then
+      viol Replica_chain_intact "range %d replica co-located with its server %d"
+        home host
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The subscriber: decode one flight event                             *)
+(* ------------------------------------------------------------------ *)
+
+let[@inline] within k lo hi = k >= lo && k <= hi
+
+let observe t ~time ~node ~thread ~kind ~a ~b ~c ~d =
+  (* Fabric, fault and violation events carry nothing the shadow
+     tracks. *)
+  if
+    kind <= Flight.k_create
+    || within kind Flight.k_view_change Flight.k_promoted
+    || kind >= Flight.ring_kinds
+  then begin
+    let tr =
+      {
+        tr_time = time;
+        tr_node = node;
+        tr_thread = thread;
+        tr_kind = kind;
+        tr_a = a;
+        tr_b = b;
+        tr_c = c;
+        tr_d = d;
+      }
+    in
+    if
+      kind <= Flight.k_create
+      || within kind Flight.k_borrow_imm Flight.k_return_mut
+    then observe_object t tr
+    else if within kind Flight.k_cache_hit Flight.k_cache_invalidate then
+      observe_cache t tr
+    else if within kind Flight.k_rc_create Flight.k_rc_free then
+      observe_rc t tr
+    else if within kind Flight.k_lock_create Flight.k_lock_release then
+      observe_lock t tr
+    else if within kind Flight.k_node_failed Flight.k_promoted then
+      observe_failover t tr
+    else if
+      within kind Flight.k_view_change Flight.k_chain_reseed
+      || kind = Flight.k_chain_host
+    then observe_membership t tr
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -979,61 +770,25 @@ let attach ?(mode = Record) cluster =
       alive = Array.map (fun nd -> nd.Cluster.alive) (Cluster.nodes cluster);
       last_epoch = 0;
       pending_handoffs = Hashtbl.create 4;
-      ring = Array.make 16 None;
-      ring_idx = 0;
+      chain_hosts = [];
       reports = [];
       report_count = 0;
       counter =
         Metrics.counter (Cluster.metrics cluster)
           ~help:"DSan invariant violations detected" "dsan.violations";
+      token = 0;
       active = true;
     }
   in
-  let now () = Engine.now (Cluster.engine cluster) in
-  Protocol.set_probe cluster
-    (Some
-       (fun ctx ev ->
-         observe_protocol t ~time:(now ()) ~node:ctx.Ctx.node
-           ~thread:ctx.Ctx.thread_id ev));
-  Array.iter
-    (fun nd ->
-      Cache.set_listener nd.Cluster.cache
-        (Some (fun ev -> observe_cache t ~time:(now ()) ~node:nd.Cluster.id ev)))
-    (Cluster.nodes cluster);
-  let on_rc ctx ev =
-    observe_rc t ~time:(now ()) ~node:ctx.Ctx.node ~thread:ctx.Ctx.thread_id ev
-  in
-  Darc.set_listener cluster (Some on_rc);
-  Drc.set_listener cluster (Some on_rc);
-  Dmutex.set_listener cluster
-    (Some
-       (fun ctx ev ->
-         observe_lock t ~time:(now ()) ~node:ctx.Ctx.node
-           ~thread:ctx.Ctx.thread_id ev));
-  Replication.set_listener cluster
-    (Some (fun ctx ev -> observe_failover t ~time:(now ()) ~node:ctx.Ctx.node ev));
-  Membership.set_listener cluster
-    (Some
-       (fun ctx ev -> observe_membership t ~time:(now ()) ~node:ctx.Ctx.node ev));
-  Fabric.set_observer (Cluster.fabric cluster)
-    (Some
-       (fun verb ~from ~target ~bytes ->
-         ring_push t (now (), verb, from, target, bytes)));
+  t.token <- Flight.subscribe (Cluster.flight cluster) (observe t);
   t
 
+(* Only clears the slot if this sanitizer still holds it: a sanitizer
+   attached later has replaced it and keeps observing. *)
 let detach t =
   if t.active then begin
     t.active <- false;
-    Protocol.set_probe t.cluster None;
-    Array.iter
-      (fun nd -> Cache.set_listener nd.Cluster.cache None)
-      (Cluster.nodes t.cluster);
-    Darc.set_listener t.cluster None;
-    Drc.set_listener t.cluster None;
-    Dmutex.set_listener t.cluster None;
-    Replication.set_listener t.cluster None;
-    Membership.set_listener t.cluster None;
-    Fabric.set_observer (Cluster.fabric t.cluster) None
+    Flight.unsubscribe (Cluster.flight t.cluster) t.token
   end
 
 let mode t = t.mode

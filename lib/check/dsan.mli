@@ -2,14 +2,18 @@
 
     In the spirit of ThreadSanitizer, [Dsan] keeps its own model of the
     whole distributed heap — one shadow record per global address
-    tracking the owner node, the current color, the borrow automaton
-    state, the set of nodes holding cached copies (keyed by the colored
-    address each copy was fetched under), darc/drc reference counts, and
-    dmutex hold state — and replays every protocol transition against it
-    through the observational hooks exposed by [Protocol.set_probe],
-    [Cache.set_listener], [Darc.set_listener], [Drc.set_listener],
-    [Dmutex.set_listener], [Replication.set_listener],
-    [Membership.set_listener], and [Fabric.set_observer].
+    tracking the current color, the home range, the borrow automaton
+    state, and the set of nodes holding cached copies (keyed by the color
+    each copy was fetched under), plus darc/drc reference counts, dmutex
+    hold state, and the serving / alive / epoch view of the membership
+    layer — and replays every transition against it.
+
+    It hooks in at one point: the cluster's flight recorder.  Every hook
+    site in the protocol, cache, fabric, refcount, lock, replication and
+    membership layers reports one int-coded event through
+    [Flight.record]; {!attach} installs {!observe} in the recorder's
+    single subscriber slot, and {!observe} decodes the kind code and its
+    payload fields (docs/FORENSICS.md).
 
     Any divergence between what the implementation did and what the
     paper's invariants permit produces a structured {!report} carrying
@@ -84,8 +88,8 @@ type report = {
   addr : int option;  (** physical (color-cleared) address *)
   detail : string;
   provenance : string list;
-      (** recent shadow history for the address plus the tail of the
-          fabric traffic ring, oldest first *)
+      (** recent shadow history for the address, then the last events
+          of the violating node's flight ring, oldest first *)
 }
 
 val pp_report : Format.formatter -> report -> unit
@@ -102,15 +106,18 @@ exception Violation of report
 type t
 
 val attach : ?mode:mode -> Cluster.t -> t
-(** Install the sanitizer on a cluster: hooks every protocol, cache,
-    refcount, lock, replication, and fabric event source, seeds the
-    serving/alive shadow from the cluster's current state, and registers
-    the [dsan.violations] counter in the cluster's metrics registry.
-    Attach before the workload runs; objects created earlier are simply
-    not tracked.  Default mode is [Record]. *)
+(** Install the sanitizer on a cluster: subscribes {!observe} to the
+    cluster's flight recorder (replacing any earlier subscriber — the
+    last attach wins), seeds the serving/alive shadow from the cluster's
+    current state, and registers the [dsan.violations] counter in the
+    cluster's metrics registry.  Attach before the workload runs;
+    objects created earlier are simply not tracked.  Default mode is
+    [Record]. *)
 
 val detach : t -> unit
-(** Uninstall every hook.  Reports remain queryable. *)
+(** Unsubscribe — only if this sanitizer still holds the slot, so
+    detaching a replaced sanitizer leaves the later one observing.
+    Reports remain queryable. *)
 
 val mode : t -> mode
 val cluster : t -> Cluster.t
@@ -142,29 +149,10 @@ val attached : unit -> t list
 val global_reports : unit -> report list
 (** All violations across {!attached} sanitizers. *)
 
-(** {1 Observation entry points}
+(** {1 Observation} *)
 
-    [attach] wires these to the live hooks; tests call them directly to
-    inject corrupted event streams and assert that each invariant class
-    is caught.  All are pure state-machine steps on the shadow. *)
-
-val observe_protocol :
-  t -> time:float -> node:int -> thread:int -> Drust_core.Protocol.probe_event
-  -> unit
-
-val observe_cache :
-  t -> time:float -> node:int -> Drust_memory.Cache.event -> unit
-
-val observe_rc :
-  t -> time:float -> node:int -> thread:int -> Drust_runtime.Darc.rc_event
-  -> unit
-
-val observe_lock :
-  t -> time:float -> node:int -> thread:int -> Drust_runtime.Dmutex.event
-  -> unit
-
-val observe_failover :
-  t -> time:float -> node:int -> Drust_runtime.Replication.event -> unit
-
-val observe_membership :
-  t -> time:float -> node:int -> Drust_runtime.Membership.event -> unit
+val observe : t -> Drust_obs.Flight.subscriber
+(** The subscriber {!attach} installs: one pure state-machine step on
+    the shadow per flight event.  Tests call it directly to inject
+    corrupted event streams and assert that each invariant class is
+    caught. *)

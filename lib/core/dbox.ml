@@ -9,22 +9,10 @@ let make ctx ~tag ~size v =
 let make_on ctx ~node ~tag ~size v =
   { o = Protocol.create_on ctx ~node ~size (Univ.pack tag v); tag }
 
-(* App-level attribution for the DSan sanitizer: tag the typed access
-   with the Univ tag name before the protocol-level events fire, so a
-   violation report can say which application object was involved. *)
-let note ctx b verb =
-  Protocol.note_app ctx ~g:(Protocol.gaddr b.o) ~verb ~tag:(Univ.tag_name b.tag)
-
-let read ctx b =
-  note ctx b "read";
-  Univ.unpack_exn b.tag (Protocol.owner_read ctx b.o)
-
-let write ctx b v =
-  note ctx b "write";
-  Protocol.owner_write ctx b.o (Univ.pack b.tag v)
+let read ctx b = Univ.unpack_exn b.tag (Protocol.owner_read ctx b.o)
+let write ctx b v = Protocol.owner_write ctx b.o (Univ.pack b.tag v)
 
 let modify ctx b f =
-  note ctx b "modify";
   Protocol.owner_modify ctx b.o (fun u ->
       Univ.pack b.tag (f (Univ.unpack_exn b.tag u)))
 

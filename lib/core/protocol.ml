@@ -9,6 +9,7 @@ module Borrow_state = Drust_ownership.Borrow_state
 module Univ = Drust_util.Univ
 module Metrics = Drust_obs.Metrics
 module Span = Drust_obs.Span
+module Flight = Drust_obs.Flight
 
 type owner = {
   mutable g : Gaddr.t;
@@ -45,8 +46,8 @@ type mut = {
 (* Per-cluster protocol state.
 
    Everything the protocol keeps per cluster — stat counters, op-latency
-   histograms, ablation switches, the sanitizer probe, fault-tolerance
-   listeners, and the owner registry — lives in ONE record under a
+   histograms, ablation switches, fault-tolerance listeners, and the
+   owner registry — lives in ONE record under a
    single Env key, and the resolved record is cached on the Ctx.  Hot
    operations therefore read a field of an already-resolved pointer
    instead of hashing into the Env (and then into a string-keyed
@@ -64,7 +65,7 @@ type stats = {
 (* Per-op-kind latency histograms (protocol.op_latency{op=...}).  The
    kind is the operation's *outcome* — which access path a read took,
    how a write changed the colored address — decided at the same branch
-   points that emit the DSan probe events.  Buckets are finer than the
+   points that report the op's flight event.  Buckets are finer than the
    registry default because local derefs cost tens of nanoseconds while
    a contended move can take milliseconds. *)
 
@@ -95,32 +96,6 @@ let register_op_hist cluster kind =
   Metrics.histogram (Cluster.metrics cluster) ~buckets:op_latency_buckets
     ~labels:[ ("op", kind) ] ~unit_:"s" "protocol.op_latency"
 
-(* ------------------------------------------------------------------ *)
-(* Probe and write-kind types (defined before the state record that
-   stores the installed probe; semantics documented at their section
-   below and in the mli). *)
-
-type access_path = Path_local | Path_cache of Gaddr.t | Path_fetch
-
-type write_kind = W_bump | W_move | W_in_place
-
-type probe_event =
-  | Ev_create of { g : Gaddr.t; size : int }
-  | Ev_read of { g : Gaddr.t; path : access_path }
-  | Ev_write of {
-      before : Gaddr.t;
-      after : Gaddr.t;
-      size : int;
-      kind : write_kind;
-    }
-  | Ev_borrow_imm of { g : Gaddr.t }
-  | Ev_return_imm of { g : Gaddr.t }
-  | Ev_borrow_mut of { g : Gaddr.t }
-  | Ev_return_mut of { g : Gaddr.t }
-  | Ev_transfer of { g : Gaddr.t; to_node : int }
-  | Ev_drop of { g : Gaddr.t }
-  | Ev_app of { g : Gaddr.t; verb : string; tag : string }
-
 (* Ablation switches (per cluster): disable the local-write
    optimizations to quantify their contribution. *)
 type options = { mutable always_move : bool; mutable no_ubit : bool }
@@ -134,7 +109,6 @@ type pstate = {
   mutable ps_stats : stats option;
       (* counters, registered on first increment/read as before *)
   ps_options : options;
-  mutable ps_probe : (Ctx.t -> probe_event -> unit) option;
   mutable ps_commit : (Ctx.t -> Gaddr.t -> int -> Univ.t -> unit) option;
   mutable ps_transfer : (Ctx.t -> Gaddr.t -> unit) option;
   mutable ps_registry : owner list;
@@ -147,7 +121,6 @@ let fresh_pstate () =
     ps_hists = [||];
     ps_stats = None;
     ps_options = { always_move = false; no_ubit = false };
-    ps_probe = None;
     ps_commit = None;
     ps_transfer = None;
     ps_registry = [];
@@ -305,40 +278,6 @@ let notify_transfer ctx g =
   | Some f -> f ctx (Gaddr.clear_color g)
 
 (* ------------------------------------------------------------------ *)
-(* Shadow-state probe (the DSan sanitizer, lib/check): one event per
-   protocol transition, emitted synchronously at the state change.  Each
-   event is allocated only when a probe is installed, and a probe must
-   never touch the engine or any RNG — sanitized runs stay bit-identical.
-
-   Emission points are chosen so that the address an event carries and
-   the shadow state a checker keeps can never be separated by a scheduler
-   yield: read events fire at the instant the access path is decided,
-   write events right after the new address is published.
-
-   The event types are declared next to the [pstate] record above. *)
-
-let set_probe cluster f = (pstate_of_cluster cluster).ps_probe <- f
-
-let[@inline] with_probe ctx k =
-  match (pstate_of ctx).ps_probe with None -> () | Some f -> k f
-
-(* How a write changed the colored address: same address (U-bit elision),
-   color bump in place, or relocation. *)
-let write_kind ~before ~after =
-  if Gaddr.equal before after then W_in_place
-  else if Gaddr.equal (Gaddr.clear_color before) (Gaddr.clear_color after) then
-    W_bump
-  else W_move
-
-let note_app ctx ~g ~verb ~tag =
-  with_probe ctx (fun f -> f ctx (Ev_app { g; verb; tag }))
-
-let tag_of_write_kind = function
-  | W_in_place -> k_write_inplace
-  | W_bump -> k_write_bump
-  | W_move -> k_write_move
-
-(* ------------------------------------------------------------------ *)
 (* Ablation switches (declared on [pstate] above). *)
 
 let options_of_cluster cluster = (pstate_of_cluster cluster).ps_options
@@ -355,44 +294,39 @@ let serving ctx g = Cluster.serving_node (Ctx.cluster ctx) (Gaddr.node_of g)
 let is_local ctx g = serving ctx g = ctx.Ctx.node
 
 (* ------------------------------------------------------------------ *)
-(* Flight recording: every op outcome also lands in the cluster's
-   always-on black box, at the same branch points that set the op tag
-   and emit the DSan probe event.  Recording is pure array stores into
-   preallocated rings — no engine or RNG access, no allocation — so
-   instrumented runs stay bit-identical (docs/FORENSICS.md).
-
-   Field layout per kind (must match [Flight.pp_event]):
-     reads           a=physical addr  b=serving node   c=color
-     write_inplace   a=physical addr                   c=color  d=home
-     write_bump/move a=phys after     b=phys before    c=color  d=home
-     transfer        a=physical addr  b=destination node
-     drop            a=physical addr  b=serving node
-     create          a=physical addr  b=home node      c=color  d=size *)
-
-module Flight = Drust_obs.Flight
+(* Observation: one [Flight.record] per protocol transition, emitted
+   synchronously at the state change with the acting thread — the op
+   outcome at the branch point that sets the op tag, plus the borrow
+   transitions the DSan sanitizer (the flight subscriber) shadows.
+   Read events fire at the instant the access path is decided and write
+   events right after the new colored address is published, so the
+   address an event carries and a checker's shadow state are never
+   separated by a scheduler yield.  Recording is array stores plus an
+   optional subscriber call — no engine or RNG access — so instrumented
+   runs stay bit-identical.  Payload fields per kind: docs/FORENSICS.md. *)
 
 let[@inline] fr ctx ~kind ~g ~b ~d =
-  Flight.record
-    (Cluster.flight (Ctx.cluster ctx))
-    ~node:ctx.Ctx.node
-    ~time:(Drust_sim.Engine.now (Ctx.engine ctx))
-    ~kind
+  Ctx.record ctx ~kind
     ~a:(Gaddr.to_int (Gaddr.clear_color g))
     ~b ~c:(Gaddr.color_of g) ~d
 
-let[@inline] fr_read ctx ~kind ~g = fr ctx ~kind ~g ~b:(serving ctx g) ~d:0
+let[@inline] fr_read ctx ~kind ~g ~d = fr ctx ~kind ~g ~b:(serving ctx g) ~d
 
-(* A write's flight kind mirrors its op tag; bump/move carry the old
-   physical address in [b] so the object slice follows relocations. *)
+(* How a write changed the colored address, as its op / flight kind:
+   same address (U-bit elision), color bump in place, or relocation. *)
+let write_kind ~before ~after =
+  if Gaddr.equal before after then k_write_inplace
+  else if Gaddr.equal (Gaddr.clear_color before) (Gaddr.clear_color after) then
+    k_write_bump
+  else k_write_move
+
+(* Bump/move carry the old physical address in [b] so the object slice
+   follows relocations. *)
 let fr_write ctx ~before ~after ~kind =
-  let code =
-    match kind with
-    | W_in_place -> Flight.k_write_inplace
-    | W_bump -> Flight.k_write_bump
-    | W_move -> Flight.k_write_move
-  in
-  fr ctx ~kind:code ~g:after
-    ~b:(if kind = W_in_place then 0 else Gaddr.to_int (Gaddr.clear_color before))
+  fr ctx ~kind ~g:after
+    ~b:
+      (if kind = k_write_inplace then 0
+       else Gaddr.to_int (Gaddr.clear_color before))
     ~d:(Gaddr.node_of after)
 
 let check_cycles ctx = (Ctx.params ctx).Params.runtime_check_cycles
@@ -516,7 +450,6 @@ let create_on ctx ~node ~size v =
     }
   in
   register_owner ctx o;
-  with_probe ctx (fun f -> f ctx (Ev_create { g; size }));
   fr ctx ~kind:Flight.k_create ~g ~b:(Gaddr.node_of g) ~d:size;
   o
 
@@ -573,7 +506,7 @@ let borrow_imm ctx o =
   (* Creating an immutable reference resets the owner's U bit so the next
      write epoch is guaranteed to change the colored address (App. B.4). *)
   o.ubit <- false;
-  with_probe ctx (fun f -> f ctx (Ev_borrow_imm { g = o.g }));
+  fr ctx ~kind:Flight.k_borrow_imm ~g:o.g ~b:0 ~d:0;
   Ctx.charge_cycles ctx 12.0;
   {
     i_g = o.g;
@@ -588,7 +521,7 @@ let borrow_imm ctx o =
 let clone_imm ctx r =
   assert_live r.i_live "Protocol.clone_imm";
   Borrow_state.borrow_imm r.i_borrow ~context:"Protocol.clone_imm";
-  with_probe ctx (fun f -> f ctx (Ev_borrow_imm { g = r.i_g }));
+  fr ctx ~kind:Flight.k_borrow_imm ~g:r.i_g ~b:0 ~d:0;
   Ctx.charge_cycles ctx 12.0;
   (* Only the global-address field is duplicated; the local-copy field of
      the clone starts null (App. D.2). *)
@@ -599,8 +532,7 @@ let imm_deref_inner ctx r =
   let cluster = Ctx.cluster ctx in
   if is_local ctx r.i_g then begin
     tag ctx k_read_local;
-    fr_read ctx ~kind:Flight.k_read_local ~g:r.i_g;
-    with_probe ctx (fun f -> f ctx (Ev_read { g = r.i_g; path = Path_local }));
+    fr_read ctx ~kind:Flight.k_read_local ~g:r.i_g ~d:0;
     charge_local_deref ctx;
     (Cluster.heap_read cluster r.i_g).Partition.value
   end
@@ -608,9 +540,8 @@ let imm_deref_inner ctx r =
     match r.i_copy with
     | Some copy when Gaddr.equal copy.Cache.key r.i_g && not copy.Cache.dead ->
         tag ctx k_read_cached;
-        fr_read ctx ~kind:Flight.k_read_cached ~g:r.i_g;
-        with_probe ctx (fun f ->
-            f ctx (Ev_read { g = r.i_g; path = Path_cache copy.Cache.key }));
+        fr_read ctx ~kind:Flight.k_read_cached ~g:r.i_g
+          ~d:(Gaddr.color_of copy.Cache.key);
         charge_cache_hit ctx;
         copy.Cache.value
     | _ -> (
@@ -619,21 +550,18 @@ let imm_deref_inner ctx r =
         match Cache.lookup cache r.i_g with
         | Some copy ->
             tag ctx k_read_cached;
-            fr_read ctx ~kind:Flight.k_read_cached ~g:r.i_g;
-            with_probe ctx (fun f ->
-                f ctx (Ev_read { g = r.i_g; path = Path_cache copy.Cache.key }));
+            fr_read ctx ~kind:Flight.k_read_cached ~g:r.i_g
+              ~d:(Gaddr.color_of copy.Cache.key);
             Cache.retain copy;
             r.i_copy <- Some copy;
             copy.Cache.value
         | None ->
             tag ctx k_read_fetch;
-            fr_read ctx ~kind:Flight.k_read_fetch ~g:r.i_g;
+            fr_read ctx ~kind:Flight.k_read_fetch ~g:r.i_g ~d:0;
             let copy =
               fetch_into_cache ctx ~g:r.i_g ~size:r.i_size
                 ~group_bytes:r.i_group ~children:r.i_children
             in
-            with_probe ctx (fun f ->
-                f ctx (Ev_read { g = r.i_g; path = Path_fetch }));
             r.i_copy <- Some copy;
             copy.Cache.value)
   end
@@ -650,7 +578,7 @@ let drop_imm ctx r =
   r.i_copy <- None;
   Ctx.charge_cycles ctx 10.0;
   Borrow_state.return_imm r.i_borrow ~context:"Protocol.drop_imm";
-  with_probe ctx (fun f -> f ctx (Ev_return_imm { g = r.i_g }))
+  fr ctx ~kind:Flight.k_return_imm ~g:r.i_g ~b:0 ~d:0
 
 (* ------------------------------------------------------------------ *)
 (* Move machinery                                                      *)
@@ -689,15 +617,7 @@ let move_local ctx ~g ~size ~children =
         let old = member.g in
         member.g <- child_fresh;
         member.ubit <- false;
-        with_probe ctx (fun f ->
-            f ctx
-              (Ev_write
-                 {
-                   before = old;
-                   after = child_fresh;
-                   size = member.size;
-                   kind = W_move;
-                 }))
+        fr_write ctx ~before:old ~after:child_fresh ~kind:k_write_move
       end)
     group_members;
   fresh
@@ -745,7 +665,7 @@ let borrow_mut ctx o =
   | Some copy -> Cache.release (cache_of ctx) copy
   | None -> ());
   o.local_copy <- None;
-  with_probe ctx (fun f -> f ctx (Ev_borrow_mut { g = o.g }));
+  fr ctx ~kind:Flight.k_borrow_mut ~g:o.g ~b:0 ~d:0;
   Ctx.charge_cycles ctx 12.0;
   { m_g = o.g; m_size = o.size; m_owner = o; m_ubit = false; m_live = true }
 
@@ -758,7 +678,8 @@ let mut_claim ctx m ~for_write =
   (if is_local ctx m.m_g then begin
      if not for_write then begin
        tag ctx k_read_local;
-       fr_read ctx ~kind:Flight.k_read_local ~g:m.m_g
+       (* d = 1: a read through the caller's own mutable borrow *)
+       fr_read ctx ~kind:Flight.k_read_local ~g:m.m_g ~d:1
      end;
      charge_local_deref ctx;
      if for_write && ((not m.m_ubit) || (options_of ctx).no_ubit) then
@@ -797,11 +718,8 @@ let mut_claim ctx m ~for_write =
      colored address); a read claim only reports relocations. *)
   if for_write || not (Gaddr.equal before m.m_g) then begin
     let kind = write_kind ~before ~after:m.m_g in
-    tag ctx (tag_of_write_kind kind);
-    fr_write ctx ~before ~after:m.m_g ~kind;
-    with_probe ctx (fun f ->
-        f ctx
-          (Ev_write { before; after = m.m_g; size = m.m_size; kind }))
+    tag ctx kind;
+    fr_write ctx ~before ~after:m.m_g ~kind
   end
 
 let heap_slot_read ctx m =
@@ -810,7 +728,7 @@ let heap_slot_read ctx m =
   else begin
     (* Pinned remote object: read through (one-sided READ). *)
     tag_weak ctx k_read_remote;
-    fr_read ctx ~kind:Flight.k_read_remote ~g:m.m_g;
+    fr_read ctx ~kind:Flight.k_read_remote ~g:m.m_g ~d:0;
     let target = serving ctx m.m_g in
     Ctx.flush ctx;
     Fabric.rdma_read ?parent:ctx.Ctx.current_span (Ctx.fabric ctx)
@@ -864,7 +782,7 @@ let drop_mut ctx m =
   o.g <- m.m_g;
   o.ubit <- o.ubit || m.m_ubit;
   Borrow_state.return_mut o.borrow ~context:"Protocol.drop_mut";
-  with_probe ctx (fun f -> f ctx (Ev_return_mut { g = m.m_g }));
+  fr ctx ~kind:Flight.k_return_mut ~g:m.m_g ~b:0 ~d:0;
   if m.m_ubit then notify_commit ctx m.m_g m.m_size
 
 (* ------------------------------------------------------------------ *)
@@ -877,8 +795,7 @@ let owner_read_inner ctx o =
   let cluster = Ctx.cluster ctx in
   if is_local ctx o.g then begin
     tag ctx k_read_local;
-    fr_read ctx ~kind:Flight.k_read_local ~g:o.g;
-    with_probe ctx (fun f -> f ctx (Ev_read { g = o.g; path = Path_local }));
+    fr_read ctx ~kind:Flight.k_read_local ~g:o.g ~d:0;
     charge_local_deref ctx;
     (Cluster.heap_read cluster o.g).Partition.value
   end
@@ -892,9 +809,8 @@ let owner_read_inner ctx o =
     match o.local_copy with
     | Some copy when Gaddr.equal copy.Cache.key o.g && not copy.Cache.dead ->
         tag ctx k_read_cached;
-        fr_read ctx ~kind:Flight.k_read_cached ~g:o.g;
-        with_probe ctx (fun f ->
-            f ctx (Ev_read { g = o.g; path = Path_cache copy.Cache.key }));
+        fr_read ctx ~kind:Flight.k_read_cached ~g:o.g
+          ~d:(Gaddr.color_of copy.Cache.key);
         charge_cache_hit ctx;
         copy.Cache.value
     | stale -> (
@@ -908,21 +824,18 @@ let owner_read_inner ctx o =
         match Cache.lookup cache o.g with
         | Some copy ->
             tag ctx k_read_cached;
-            fr_read ctx ~kind:Flight.k_read_cached ~g:o.g;
-            with_probe ctx (fun f ->
-                f ctx (Ev_read { g = o.g; path = Path_cache copy.Cache.key }));
+            fr_read ctx ~kind:Flight.k_read_cached ~g:o.g
+              ~d:(Gaddr.color_of copy.Cache.key);
             Cache.retain copy;
             o.local_copy <- Some copy;
             copy.Cache.value
         | None ->
             tag ctx k_read_fetch;
-            fr_read ctx ~kind:Flight.k_read_fetch ~g:o.g;
+            fr_read ctx ~kind:Flight.k_read_fetch ~g:o.g ~d:0;
             let copy =
               fetch_into_cache ctx ~g:o.g ~size:o.size
                 ~group_bytes:(group_size o) ~children:o.children
             in
-            with_probe ctx (fun f ->
-                f ctx (Ev_read { g = o.g; path = Path_fetch }));
             o.local_copy <- Some copy;
             copy.Cache.value)
   end
@@ -965,15 +878,7 @@ let owner_claim_mut ctx o =
               let old = member.g in
               member.g <- child_fresh;
               member.ubit <- false;
-              with_probe ctx (fun f ->
-                  f ctx
-                    (Ev_write
-                       {
-                         before = old;
-                         after = child_fresh;
-                         size = member.size;
-                         kind = W_move;
-                       }))
+              fr_write ctx ~before:old ~after:child_fresh ~kind:k_write_move
             end)
           (List.concat_map group o.children);
         Metrics.incr (stats_of ctx).moves;
@@ -1020,10 +925,8 @@ let owner_write_inner ctx o v =
     pinned_epoch_bump ctx o
   end;
   let kind = write_kind ~before ~after:o.g in
-  tag ctx (tag_of_write_kind kind);
+  tag ctx kind;
   fr_write ctx ~before ~after:o.g ~kind;
-  with_probe ctx (fun f ->
-      f ctx (Ev_write { before; after = o.g; size = o.size; kind }));
   notify_commit ctx o.g o.size
 
 let owner_write ctx o v =
@@ -1050,10 +953,8 @@ let owner_modify_inner ctx o f =
     pinned_epoch_bump ctx o
   end;
   let kind = write_kind ~before ~after:o.g in
-  tag ctx (tag_of_write_kind kind);
+  tag ctx kind;
   fr_write ctx ~before ~after:o.g ~kind;
-  with_probe ctx (fun f ->
-      f ctx (Ev_write { before; after = o.g; size = o.size; kind }));
   notify_commit ctx o.g o.size
 
 let owner_modify ctx o f =
@@ -1077,7 +978,6 @@ let transfer_inner ctx o ~to_node =
   o.box_node <- to_node;
   List.iter (fun child -> child.box_node <- to_node) (List.concat_map group o.children);
   Ctx.charge_cycles ctx 20.0;
-  with_probe ctx (fun f -> f ctx (Ev_transfer { g = o.g; to_node }));
   fr ctx ~kind:Flight.k_transfer ~g:o.g ~b:to_node ~d:0;
   notify_transfer ctx o.g
 
@@ -1088,7 +988,6 @@ let rec drop_owner_inner ctx o =
   assert_valid o "Protocol.drop_owner";
   Borrow_state.kill o.borrow ~context:"Protocol.drop_owner";
   o.valid <- false;
-  with_probe ctx (fun f -> f ctx (Ev_drop { g = o.g }));
   fr ctx ~kind:Flight.k_drop ~g:o.g ~b:(serving ctx o.g) ~d:0;
   (match o.local_copy with
   | Some copy -> Cache.release (cache_of ctx) copy
@@ -1147,10 +1046,7 @@ let tie ctx ~parent ~child =
     async_dealloc ctx child.g;
     let old = child.g in
     child.g <- fresh;
-    with_probe ctx (fun f ->
-        f ctx
-          (Ev_write
-             { before = old; after = fresh; size = child.size; kind = W_move }))
+    fr_write ctx ~before:old ~after:fresh ~kind:k_write_move
   end
 
 let is_pinned o = o.pinned

@@ -63,10 +63,13 @@ let create ?engine params =
      every layer reports into these.  Recording never touches the engine
      or any RNG, so instrumented runs stay bit-identical. *)
   let metrics = Metrics.create () in
-  let spans = Span.create ~clock:(fun () -> Engine.now engine) () in
-  (* The flight recorder is always on: a bounded black box behind every
-     layer, dumped on failure for post-mortems (docs/FORENSICS.md).
-     Like the tracer it is purely observational — array stores only. *)
+  let clock () = Engine.now engine in
+  let spans = Span.create ~clock () in
+  (* The flight recorder is the cluster's one observation point: every
+     layer reports its events there, the always-on bounded black box
+     keeps them for post-mortems (docs/FORENSICS.md), and its single
+     subscriber slot is where DSan attaches.  Like the tracer it is
+     purely observational — array stores only. *)
   let flight = Flight.create ~metrics ~nodes:params.Params.nodes () in
   let fabric =
     Fabric.create ~metrics ~spans ~flight ~engine
@@ -79,7 +82,7 @@ let create ?engine params =
       cores = Resource.create engine ~capacity:params.Params.cores_per_node;
       partition =
         Partition.create ~node:id ~capacity_bytes:params.Params.mem_per_node;
-      cache = Cache.create ~metrics ~node:id ();
+      cache = Cache.create ~metrics ~flight ~clock ~node:id ();
       alive = true;
     }
   in

@@ -54,10 +54,11 @@ val metrics : t -> Drust_obs.Metrics.t
 val spans : t -> Drust_obs.Span.t
 
 val flight : t -> Drust_obs.Flight.t
-(** The always-on flight recorder: every layer records compact events
-    into its per-node rings, and failures dump them as
-    [<label>.flight.json] for post-mortem forensics
-    (docs/FORENSICS.md). *)
+(** The cluster's one observation point: every layer reports its
+    events through [Flight.record], the always-on per-node rings keep
+    them, failures dump them as [<label>.flight.json] for post-mortem
+    forensics (docs/FORENSICS.md), and the DSan sanitizer attaches to
+    its subscriber slot. *)
 
 val node_count : t -> int
 val node : t -> int -> node

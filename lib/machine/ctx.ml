@@ -41,6 +41,12 @@ let engine t = Cluster.engine t.cluster
 let fabric t = Cluster.fabric t.cluster
 let params t = Cluster.params t.cluster
 
+(* Report one event through the cluster's observation point, stamped
+   with this context's node and thread at the current virtual time. *)
+let[@inline] record t ~kind ~a ~b ~c ~d =
+  Drust_obs.Flight.record (Cluster.flight t.cluster) ~node:t.node
+    ~time:(Engine.now (engine t)) ~thread:t.thread_id ~kind ~a ~b ~c ~d
+
 let safe_point t =
   match t.safe_point_hook with None -> () | Some hook -> hook t
 

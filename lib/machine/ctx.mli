@@ -47,6 +47,11 @@ val engine : t -> Drust_sim.Engine.t
 val fabric : t -> Drust_net.Fabric.t
 val params : t -> Params.t
 
+val record : t -> kind:int -> a:int -> b:int -> c:int -> d:int -> unit
+(** [Flight.record] on the cluster's recorder, stamped with this
+    context's node and thread at the current virtual time — how the
+    protocol and runtime layers report their events. *)
+
 val charge_cycles : t -> float -> unit
 (** Accumulate compute; flushes automatically past the grain. *)
 

@@ -8,16 +8,7 @@ type copy = {
 }
 
 module Metrics = Drust_obs.Metrics
-
-(* Observational events for the DSan shadow-state checker (lib/check).
-   Emitted synchronously from the state transition that caused them; a
-   listener must never touch the engine or any RNG. *)
-type event =
-  | Hit of { key : Gaddr.t }
-  | Stale_miss of { sought : Gaddr.t; cached : Gaddr.t }
-  | Insert of { key : Gaddr.t; size : int }
-  | Release of { key : Gaddr.t; refcount : int }
-  | Invalidate of { key : Gaddr.t }
+module Flight = Drust_obs.Flight
 
 type t = {
   node : int;
@@ -25,7 +16,10 @@ type t = {
      full colored key so lookups can compare colors in O(1). *)
   map : copy Drust_util.Intmap.t;
   mutable used : int;
-  mutable listener : (event -> unit) option;
+  (* Every transition is reported through the cluster's observation
+     point (kinds cache_*, subscriber-only), stamped by [clock]. *)
+  flight : Flight.t option;
+  clock : unit -> float;
   (* Registry-backed statistics (names cache.*, labelled by node). *)
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
@@ -34,7 +28,7 @@ type t = {
   g_used : Metrics.gauge;
 }
 
-let create ?metrics ~node () =
+let create ?metrics ?flight ?(clock = fun () -> 0.0) ~node () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -43,7 +37,8 @@ let create ?metrics ~node () =
     node;
     map = Drust_util.Intmap.create ~capacity:256 ();
     used = 0;
-    listener = None;
+    flight;
+    clock;
     c_hits = Metrics.counter metrics ~labels ~unit_:"ops" "cache.hits";
     c_misses = Metrics.counter metrics ~labels ~unit_:"ops" "cache.misses";
     c_inserts = Metrics.counter metrics ~labels ~unit_:"ops" "cache.inserts";
@@ -53,7 +48,15 @@ let create ?metrics ~node () =
   }
 
 let node t = t.node
-let set_listener t l = t.listener <- l
+
+let[@inline] fr t ~kind key ~b ~d =
+  match t.flight with
+  | None -> ()
+  | Some fl ->
+      Flight.record fl ~node:t.node ~time:(t.clock ()) ~thread:(-1) ~kind
+        ~a:(Gaddr.to_int (Gaddr.clear_color key))
+        ~b ~c:(Gaddr.color_of key) ~d
+
 let entries t = Drust_util.Intmap.length t.map
 let used_bytes t = t.used
 let set_used t used =
@@ -64,13 +67,11 @@ let lookup t g =
   match Drust_util.Intmap.find_opt t.map (Gaddr.to_int (Gaddr.clear_color g)) with
   | Some copy when Gaddr.equal copy.key g && not copy.dead ->
       Metrics.incr t.c_hits;
-      (match t.listener with None -> () | Some f -> f (Hit { key = copy.key }));
+      fr t ~kind:Flight.k_cache_hit copy.key ~b:0 ~d:0;
       Some copy
   | Some copy ->
       Metrics.incr t.c_misses;
-      (match t.listener with
-      | None -> ()
-      | Some f -> f (Stale_miss { sought = g; cached = copy.key }));
+      fr t ~kind:Flight.k_cache_stale_miss g ~b:(Gaddr.color_of copy.key) ~d:0;
       None
   | None ->
       Metrics.incr t.c_misses;
@@ -88,9 +89,7 @@ let reclaim t copy =
 let detach t phys copy =
   Drust_util.Intmap.remove t.map phys;
   copy.detached <- true;
-  (match t.listener with
-  | None -> ()
-  | Some f -> f (Invalidate { key = copy.key }));
+  fr t ~kind:Flight.k_cache_invalidate copy.key ~b:0 ~d:0;
   if copy.refcount = 0 then reclaim t copy
 
 let insert t g ~size v =
@@ -104,9 +103,7 @@ let insert t g ~size v =
   Drust_util.Intmap.set t.map phys copy;
   Metrics.incr t.c_inserts;
   set_used t (t.used + size);
-  (match t.listener with
-  | None -> ()
-  | Some f -> f (Insert { key = g; size }));
+  fr t ~kind:Flight.k_cache_insert g ~b:0 ~d:size;
   copy
 
 let retain copy =
@@ -117,9 +114,7 @@ let release t copy =
   (* The event carries the post-decrement count and fires before the
      underflow guard, so a shadow checker observes the violation even
      though the operation itself is then rejected. *)
-  (match t.listener with
-  | None -> ()
-  | Some f -> f (Release { key = copy.key; refcount = copy.refcount - 1 }));
+  fr t ~kind:Flight.k_cache_release copy.key ~b:(copy.refcount - 1) ~d:0;
   if copy.refcount <= 0 then invalid_arg "Cache.release: refcount underflow";
   copy.refcount <- copy.refcount - 1;
   if copy.refcount = 0 && copy.detached then reclaim t copy

@@ -24,31 +24,30 @@ type copy = {
           or invalidated) but still pinned by live references *)
 }
 
-val create : ?metrics:Drust_obs.Metrics.t -> node:int -> unit -> t
+val create :
+  ?metrics:Drust_obs.Metrics.t ->
+  ?flight:Drust_obs.Flight.t ->
+  ?clock:(unit -> float) ->
+  node:int ->
+  unit ->
+  t
 (** [metrics] is the registry the [cache.*] statistics (hits, misses,
     inserts, evictions, used bytes — labelled by node) report into;
-    defaults to a fresh private registry. *)
+    defaults to a fresh private registry.
 
-(** {1 Shadow-state events}
-
-    Observational hook for the DSan sanitizer ([lib/check]): one event per
-    cache transition, emitted synchronously.  [Release] fires {e before}
-    the underflow guard and carries the post-decrement count, so a checker
-    observes an underflow the operation itself then rejects.  [retain] has
-    no cache handle and is therefore not hooked; the checker audits
-    refcounts at [Release] time instead. *)
-type event =
-  | Hit of { key : Gaddr.t }
-  | Stale_miss of { sought : Gaddr.t; cached : Gaddr.t }
-      (** a lookup found a copy under the physical address whose colored
-          key did not match — the implicit-invalidation path *)
-  | Insert of { key : Gaddr.t; size : int }
-  | Release of { key : Gaddr.t; refcount : int }
-  | Invalidate of { key : Gaddr.t }
-      (** the copy left the map: displaced, invalidated, or evicted *)
-
-val set_listener : t -> (event -> unit) option -> unit
-(** The listener must never touch the engine or any RNG. *)
+    [flight] is the cluster's observation point: every cache transition
+    is reported through [Flight.record] on this node, stamped with
+    [clock ()] (default: always 0), as one of the subscriber-only kinds
+    [cache_hit], [cache_stale_miss] (a copy is held under the physical
+    address but under another color — the implicit-invalidation path),
+    [cache_insert], [cache_release] and [cache_invalidate] (the copy left
+    the map: displaced, invalidated, or evicted); payloads in
+    docs/FORENSICS.md.  [cache_release] fires {e before} the underflow
+    guard and carries the post-decrement count, so a checker observes an
+    underflow the operation itself then rejects.  [retain] has no cache
+    handle and reports nothing; the checker audits pin counts at release
+    time instead.  [cache.hits] counts exactly the [cache_hit] events and
+    [cache.inserts] exactly the [cache_insert] events. *)
 
 val node : t -> int
 val entries : t -> int

@@ -101,15 +101,9 @@ type t = {
      Verbs carrying an [?epoch] are validated against it at serve time;
      absent (the default) every carried epoch passes. *)
   mutable epoch_of : (unit -> int) option;
-  (* Observational hook fired at verb-issue time; DSan uses it to keep a
-     recent-traffic ring for violation provenance.  Must never touch the
-     engine or any RNG. *)
-  mutable observer : (string -> from:int -> target:int -> bytes:int -> unit) option;
-  (* The cluster's always-on flight recorder: every verb issue, timeout,
-     retry, drop, and stale-epoch NAK lands in the issuing node's ring.
-     Separate from [observer] — that single slot belongs to DSan, and
-     the black box must keep recording while a sanitizer is attached. *)
-  mutable flight : Flight.t option;
+  (* The cluster's observation point: every verb issue, timeout, retry,
+     drop, and stale-epoch NAK is reported there on the issuing node. *)
+  flight : Flight.t option;
 }
 
 (* Transfers below this size do not contend for the DMA engine. *)
@@ -150,25 +144,21 @@ let create ?metrics ?spans ?flight ~engine ~rng ~model ~nodes () =
     spans;
     fault = None;
     epoch_of = None;
-    observer = None;
     flight;
   }
 
-(* Flight-recorder append for one fabric event on the issuing node's
-   ring (array stores only — see Flight.record). *)
+(* Report one fabric event on the issuing node (see Flight.record). *)
 let[@inline] fr t ~from ~kind ~a ~b ~c =
   match t.flight with
   | None -> ()
   | Some fl ->
-      Flight.record fl ~node:from ~time:(Engine.now t.engine) ~kind ~a ~b ~c
-        ~d:0
+      Flight.record fl ~node:from ~time:(Engine.now t.engine) ~thread:(-1)
+        ~kind ~a ~b ~c ~d:0
 
 let ep = function Some e -> e | None -> -1
 
 let set_spans t spans = t.spans <- spans
-let set_flight t fl = t.flight <- fl
 let set_delivery_batching t on = t.batching <- on
-let set_observer t o = t.observer <- o
 let set_epoch_source t f = t.epoch_of <- f
 let metrics t = t.metrics
 let set_fault_plan t plan = t.fault <- Some plan
@@ -360,19 +350,16 @@ let delay_with_nic ~vt t ~data_source ~from ~target ~base ~bytes =
             Engine.delay t.engine (latency t ~from ~target ~base ~bytes))
     | None -> Engine.delay t.engine (latency t ~from ~target ~base ~bytes)
 
-let note ?(verb = "") t ~from ~target ~bytes =
+let note t ~from ~target ~bytes =
   let c = t.counters.(from) in
   Metrics.add c.c_bytes_out bytes;
-  if from <> target then Metrics.incr c.c_remote_ops;
-  match t.observer with
-  | None -> ()
-  | Some f -> f verb ~from ~target ~bytes
+  if from <> target then Metrics.incr c.c_remote_ops
 
 let rdma_read ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_read";
   check_node t target "rdma_read";
   Metrics.incr t.counters.(from).c_reads;
-  note ~verb:"READ" t ~from ~target ~bytes;
+  note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_read ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
   (* READ pulls data out of the target: the target's NIC is the egress. *)
@@ -386,7 +373,7 @@ let rdma_write ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_write";
   check_node t target "rdma_write";
   Metrics.incr t.counters.(from).c_writes;
-  note ~verb:"WRITE" t ~from ~target ~bytes;
+  note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
   (* WRITE pushes data from the sender: its NIC is the egress. *)
@@ -466,7 +453,7 @@ let rdma_write_async ?parent t ~from ~target ~bytes k =
   check_node t from "rdma_write_async";
   check_node t target "rdma_write_async";
   Metrics.incr t.counters.(from).c_writes;
-  note ~verb:"WRITE(async)" t ~from ~target ~bytes;
+  note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
     let dt = latency t ~from ~target ~base:t.model.Model.oneside_base ~bytes in
@@ -493,7 +480,7 @@ let rdma_atomic ?parent t ~from ~target f =
   check_node t from "rdma_atomic";
   check_node t target "rdma_atomic";
   Metrics.incr t.counters.(from).c_atomics;
-  note ~verb:"ATOMIC" t ~from ~target ~bytes:8;
+  note t ~from ~target ~bytes:8;
   fr t ~from ~kind:Flight.k_fab_atomic ~a:target ~b:8 ~c:(-1);
   sync_guard t ~from ~target;
   with_verb_span t "ATOMIC" ~from ~target ~bytes:8 ?parent (fun vt ->
@@ -514,7 +501,7 @@ let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
   check_node t from "rpc";
   check_node t target "rpc";
   Metrics.incr t.counters.(from).c_rpcs;
-  note ~verb:"RPC" t ~from ~target ~bytes:(req_bytes + resp_bytes);
+  note t ~from ~target ~bytes:(req_bytes + resp_bytes);
   fr t ~from ~kind:Flight.k_fab_rpc ~a:target ~b:(req_bytes + resp_bytes)
     ~c:(ep epoch);
   sync_guard t ~from ~target;
@@ -613,7 +600,7 @@ let send_async ?parent t ~from ~target ~bytes handler =
   check_node t from "send_async";
   check_node t target "send_async";
   Metrics.incr t.counters.(from).c_rpcs;
-  note ~verb:"SEND(async)" t ~from ~target ~bytes;
+  note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_send ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
     let dt =

@@ -47,9 +47,13 @@ val create :
   t
 (** [metrics] defaults to a fresh private registry; pass the cluster's
     registry so fabric counters land next to everyone else's.  [spans]
-    defaults to none (no tracing).  [flight] is the cluster's always-on
-    black box: every verb issue, timeout, retry, drop, and stale-epoch
-    NAK is recorded into the issuing node's ring (docs/FORENSICS.md). *)
+    defaults to none (no tracing).  [flight] is the cluster's
+    observation point: every verb issue, timeout, retry, drop, and
+    stale-epoch NAK is reported through [Flight.record] on the issuing
+    node (kinds [fab_*], docs/FORENSICS.md), which keeps it in that
+    node's ring and passes it to the recorder's subscriber.  Each
+    [fabric.*] counter below equals the number of events of its kind
+    ([fabric.rpcs] counts [fab_rpc] plus [fab_send]). *)
 
 val engine : t -> Drust_sim.Engine.t
 
@@ -78,16 +82,6 @@ val set_delivery_batching : t -> bool -> unit
     this switch; it exists for A/B testing and diagnostics.  Coalesced
     callbacks still count as logical events in
     [Drust_sim.Engine.dispatched].  See docs/PERFORMANCE.md. *)
-
-val set_flight : t -> Drust_obs.Flight.t option -> unit
-(** Attach or detach the flight recorder after construction. *)
-
-val set_observer :
-  t -> (string -> from:int -> target:int -> bytes:int -> unit) option -> unit
-(** Observational hook fired once per verb at issue time with the verb
-    name (["READ"], ["WRITE"], ["ATOMIC"], ["RPC"], ...).  The DSan
-    sanitizer uses it to keep a recent-traffic ring for violation
-    provenance.  The observer must never touch the engine or any RNG. *)
 
 val set_fault_plan : t -> Drust_sim.Fault.t -> unit
 (** Install a fault plan: from now on every verb consults it.  Verbs

@@ -1,10 +1,16 @@
 module Json = Drust_util.Json
 
 (* ------------------------------------------------------------------ *)
-(* Event kinds.  Codes 0..8 mirror the protocol's dense op-kind codes
+(* Event kinds: the one event schema.  Every hook site in the fabric,
+   cache, protocol and runtime layers reports through [record] with one
+   of these codes; docs/FORENSICS.md documents each kind's payload (the
+   table is pinned to [kind_names] by tools/check_docs.ml, check 10).
+   Codes 0..8 mirror the protocol's dense op-kind codes
    (Protocol.op_latency_kinds order) verbatim, so the protocol layer
    records its already-computed outcome code with no translation —
-   test/test_flight.ml pins the two tables against each other. *)
+   test/test_flight.ml pins the two tables against each other.  Codes
+   from [ring_kinds] on are subscriber-only: the DSan sanitizer needs
+   them, the black box does not keep them. *)
 
 let k_read_local = 0
 let k_read_cached = 1
@@ -36,6 +42,29 @@ let k_fault_crash = 26
 let k_fault_partition = 27
 let k_fault_degrade = 28
 let k_dsan_violation = 29
+let ring_kinds = k_dsan_violation + 1
+let k_borrow_imm = 30
+let k_return_imm = 31
+let k_borrow_mut = 32
+let k_return_mut = 33
+let k_cache_hit = 34
+let k_cache_stale_miss = 35
+let k_cache_insert = 36
+let k_cache_release = 37
+let k_cache_invalidate = 38
+let k_rc_create = 39
+let k_rc_retain = 40
+let k_rc_release = 41
+let k_rc_free = 42
+let k_lock_create = 43
+let k_lock_acquire = 44
+let k_lock_release = 45
+let k_chain_host = 46
+
+let view_failover = 1
+let view_join = 2
+let view_join_rollback = 3
+let view_leave = 4
 
 let kind_names =
   [|
@@ -69,6 +98,23 @@ let kind_names =
     "fault_partition";
     "fault_degrade";
     "dsan_violation";
+    "borrow_imm";
+    "return_imm";
+    "borrow_mut";
+    "return_mut";
+    "cache_hit";
+    "cache_stale_miss";
+    "cache_insert";
+    "cache_release";
+    "cache_invalidate";
+    "rc_create";
+    "rc_retain";
+    "rc_release";
+    "rc_free";
+    "lock_create";
+    "lock_acquire";
+    "lock_release";
+    "chain_host";
   |]
 
 let kind_name k =
@@ -79,7 +125,19 @@ let kind_name k =
 (* The recorder: per-node rings laid out as flat parallel arrays, one
    allocation each at create time.  [times] is a float array (unboxed
    storage), everything else untagged ints; a record is seven array
-   stores plus two counter bumps. *)
+   stores plus two counter bumps.  Beside the rings sits the one
+   subscriber slot every event is passed to (DSan attaches there). *)
+
+type subscriber =
+  time:float ->
+  node:int ->
+  thread:int ->
+  kind:int ->
+  a:int ->
+  b:int ->
+  c:int ->
+  d:int ->
+  unit
 
 type t = {
   nodes : int;
@@ -96,6 +154,8 @@ type t = {
   mutable enabled : bool;
   mutable label : string;
   mutable dumped : bool;
+  mutable sub : subscriber option;
+  mutable sub_token : int;  (* bumped by every [subscribe] *)
   c_events : Metrics.counter option;
   c_dumps : Metrics.counter option;
 }
@@ -120,12 +180,14 @@ let create ?(cap = 256) ?metrics ~nodes () =
     enabled = true;
     label = "unlabeled";
     dumped = false;
+    sub = None;
+    sub_token = 0;
     c_events = counter "flight.events" "events recorded into the black-box rings";
     c_dumps = counter "flight.dumps" "flight dumps written on failure";
   }
 
-let[@inline] record t ~node ~time ~kind ~a ~b ~c ~d =
-  if t.enabled && node >= 0 && node < t.nodes then begin
+let[@inline] record t ~node ~time ~thread ~kind ~a ~b ~c ~d =
+  if kind < ring_kinds && t.enabled && node >= 0 && node < t.nodes then begin
     let n = Array.unsafe_get t.counts node in
     let i = (node * t.cap) + (n mod t.cap) in
     Array.unsafe_set t.times i time;
@@ -138,7 +200,17 @@ let[@inline] record t ~node ~time ~kind ~a ~b ~c ~d =
     t.seq <- t.seq + 1;
     Array.unsafe_set t.counts node (n + 1);
     match t.c_events with None -> () | Some c -> Metrics.incr c
-  end
+  end;
+  match t.sub with
+  | None -> ()
+  | Some f -> f ~time ~node ~thread ~kind ~a ~b ~c ~d
+
+let subscribe t f =
+  t.sub_token <- t.sub_token + 1;
+  t.sub <- Some f;
+  t.sub_token
+
+let unsubscribe t token = if token = t.sub_token then t.sub <- None
 
 let set_enabled t b = t.enabled <- b
 let enabled t = t.enabled
@@ -420,6 +492,13 @@ let guard t ~now f =
 
 let pp_addr ppf p = Format.fprintf ppf "0x%x" p
 
+let view_reason_name r =
+  if r = view_failover then "failover"
+  else if r = view_join then "join"
+  else if r = view_join_rollback then "join rollback"
+  else if r = view_leave then "leave"
+  else "reason " ^ string_of_int r
+
 let pp_event ppf e =
   let f fmt = Format.fprintf ppf fmt in
   f "t=%.9f node %d %-15s" e.ev_time e.ev_node (kind_name e.ev_kind);
@@ -442,7 +521,8 @@ let pp_event ppf e =
   else if k = k_fab_retry then f " attempt %d" e.ev_a
   else if k = k_fab_stale_epoch then
     f " -> node %d (carried epoch %d, live %d)" e.ev_a e.ev_b e.ev_c
-  else if k = k_view_change then f " epoch %d" e.ev_a
+  else if k = k_view_change then
+    f " epoch %d (%s, node %d)" e.ev_a (view_reason_name e.ev_b) e.ev_c
   else if k = k_handoff_prepare || k = k_handoff_abort then
     f " home %d: node %d -> node %d" e.ev_a e.ev_b e.ev_c
   else if k = k_handoff_commit then
@@ -458,6 +538,21 @@ let pp_event ppf e =
     f " link %d -> %d (drop %d/1000)" e.ev_a e.ev_b e.ev_c
   else if k = k_dsan_violation then
     f " %a invariant #%d thread %d" pp_addr e.ev_a e.ev_b e.ev_c
+  else if k >= k_borrow_imm && k <= k_return_mut || k = k_cache_hit
+          || k = k_cache_invalidate || k = k_lock_create then
+    f " %a color %d" pp_addr e.ev_a e.ev_c
+  else if k = k_cache_stale_miss then
+    f " %a color %d (held color %d)" pp_addr e.ev_a e.ev_c e.ev_b
+  else if k = k_cache_insert then
+    f " %a color %d (%d bytes)" pp_addr e.ev_a e.ev_c e.ev_d
+  else if k = k_cache_release then
+    f " %a color %d rc=%d" pp_addr e.ev_a e.ev_c e.ev_b
+  else if k >= k_rc_create && k <= k_rc_free then
+    f " %a count=%d" pp_addr e.ev_a e.ev_b
+  else if k = k_lock_acquire || k = k_lock_release then
+    f " %a by thread %d" pp_addr e.ev_a e.ev_b
+  else if k = k_chain_host then
+    f " home %d replica %d on node %d (server %d)" e.ev_a e.ev_d e.ev_b e.ev_c
 
 let event_line e = Format.asprintf "%a" pp_event e
 

@@ -1,13 +1,15 @@
-(** Flight recorder: an always-on, bounded, per-node black box.
+(** Flight recorder: an always-on, bounded, per-node black box, and the
+    one observation point of the runtime.
 
-    Every cluster owns one {!t} (see [Cluster.flight]).  The protocol,
-    the fabric, the membership/replication layers, the fault plan, and
-    the DSan sanitizer record compact structured events into per-node
-    ring buffers through {!record} — preallocated unboxed arrays, no
-    per-event allocation, so the always-on cost on the untraced hot
-    path stays negligible and recording never perturbs the simulation
-    (no engine, RNG, or heap access: instrumented runs stay
-    bit-identical).
+    Every cluster owns one {!t} (see [Cluster.flight]).  Every hook site
+    — the protocol, the cache, the fabric, the refcount and lock
+    runtimes, the membership/replication layers, the fault plan, and the
+    DSan sanitizer — reports one int-coded event through {!record}.  The
+    event lands in a per-node ring buffer (preallocated unboxed arrays,
+    no per-event allocation) and is passed to the recorder's single
+    {!subscriber}, which is where DSan attaches.  Neither path touches
+    the engine, any RNG, or the heap, so instrumented runs stay
+    bit-identical.
 
     On a failure — a DSan violation, an uncaught workload exception, or
     a fuzz finding — the ring contents are written as a versioned
@@ -19,14 +21,17 @@
     rendering lives here ({!explain_object}, {!render_last}) so both
     CLIs and the live-ring path share it.
 
-    Schema and field table: docs/FORENSICS.md (cross-checked against
-    {!field_names} by [tools/check_docs.ml], check 9). *)
+    Schema, kind table and field table: docs/FORENSICS.md (cross-checked
+    against {!kind_names} and {!field_names} by [tools/check_docs.ml],
+    checks 10 and 9). *)
 
 (** {1 Event kinds}
 
     Dense int codes.  Codes [0..8] are exactly the protocol's dense
     op-kind codes (in [Protocol.op_latency_kinds] order) so the
-    protocol records its op outcome code untranslated. *)
+    protocol records its op outcome code untranslated.  Codes below
+    {!ring_kinds} are kept in the rings; the rest reach the subscriber
+    only.  Payload fields [a..d] per kind: docs/FORENSICS.md. *)
 
 val k_read_local : int
 val k_read_cached : int
@@ -59,8 +64,36 @@ val k_fault_partition : int
 val k_fault_degrade : int
 val k_dsan_violation : int
 
+val ring_kinds : int
+(** Kinds with a code below this are stored in the rings. *)
+
+val k_borrow_imm : int
+val k_return_imm : int
+val k_borrow_mut : int
+val k_return_mut : int
+val k_cache_hit : int
+val k_cache_stale_miss : int
+val k_cache_insert : int
+val k_cache_release : int
+val k_cache_invalidate : int
+val k_rc_create : int
+val k_rc_retain : int
+val k_rc_release : int
+val k_rc_free : int
+val k_lock_create : int
+val k_lock_acquire : int
+val k_lock_release : int
+val k_chain_host : int
+
 val kind_names : string array
 (** Stable display names, indexed by kind code. *)
+
+(** {2 View-change reason codes} (the [b] field of [view_change]) *)
+
+val view_failover : int
+val view_join : int
+val view_join_rollback : int
+val view_leave : int
 
 (** {1 Recording} *)
 
@@ -72,14 +105,48 @@ val create : ?cap:int -> ?metrics:Metrics.t -> nodes:int -> unit -> t
     [flight.events] / [flight.dumps] counters there. *)
 
 val record :
-  t -> node:int -> time:float -> kind:int -> a:int -> b:int -> c:int -> d:int
-  -> unit
-(** Append one event to [node]'s ring (overwriting the oldest once
-    full).  Array stores only — no allocation beyond the caller's
-    float argument.  Out-of-range nodes and disabled recorders drop
-    the event.  [a..d] are kind-specific payload fields; for object
-    events [a] is the physical (color-cleared) address as an int.
-    Field semantics per kind: docs/FORENSICS.md. *)
+  t ->
+  node:int ->
+  time:float ->
+  thread:int ->
+  kind:int ->
+  a:int ->
+  b:int ->
+  c:int ->
+  d:int ->
+  unit
+(** Report one event.  A ring kind (code below {!ring_kinds}) is
+    appended to [node]'s ring (overwriting the oldest once full) unless
+    the recorder is disabled or [node] is out of range; [thread] is not
+    stored.  Then every event, ring kind or not and enabled or not, is
+    passed to the subscriber, if one is attached.  Array stores only —
+    no allocation beyond the caller's float argument.  [a..d] are
+    kind-specific payload fields; for object events [a] is the physical
+    (color-cleared) address as an int.  [thread] is [-1] for events
+    without a thread identity. *)
+
+(** {2 The subscriber slot} *)
+
+type subscriber =
+  time:float ->
+  node:int ->
+  thread:int ->
+  kind:int ->
+  a:int ->
+  b:int ->
+  c:int ->
+  d:int ->
+  unit
+(** Receives every {!record}ed event, synchronously.  It must never
+    touch the engine or any RNG. *)
+
+val subscribe : t -> subscriber -> int
+(** Install the subscriber, replacing any previous one (the last
+    subscriber wins).  Returns a token for {!unsubscribe}. *)
+
+val unsubscribe : t -> int -> unit
+(** Remove the subscriber installed under this token — a no-op if a
+    later {!subscribe} has replaced it since. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool

@@ -794,15 +794,16 @@ let install_faults ~cluster ~nodes faults =
     (Some
        (function
          | Fault.Inj_crash { node; at } ->
-             Flight.record fl ~node:0 ~time:at ~kind:Flight.k_fault_crash
-               ~a:node ~b:0 ~c:0 ~d:0
+             Flight.record fl ~node:0 ~time:at ~thread:(-1)
+               ~kind:Flight.k_fault_crash ~a:node ~b:0 ~c:0 ~d:0
          | Fault.Inj_partition { group; at; heal_at = _ } ->
-             Flight.record fl ~node:0 ~time:at ~kind:Flight.k_fault_partition
+             Flight.record fl ~node:0 ~time:at ~thread:(-1)
+               ~kind:Flight.k_fault_partition
                ~a:(match group with n :: _ -> n | [] -> -1)
                ~b:(List.length group) ~c:0 ~d:0
          | Fault.Inj_degrade { from_node; target; drop } ->
-             Flight.record fl ~node:0 ~time:0.0 ~kind:Flight.k_fault_degrade
-               ~a:from_node ~b:target
+             Flight.record fl ~node:0 ~time:0.0 ~thread:(-1)
+               ~kind:Flight.k_fault_degrade ~a:from_node ~b:target
                ~c:(int_of_float (drop *. 1000.0))
                ~d:0));
   List.iter

@@ -3,6 +3,7 @@ module Cluster = Drust_machine.Cluster
 module Fabric = Drust_net.Fabric
 module Gaddr = Drust_memory.Gaddr
 module Cache = Drust_memory.Cache
+module Flight = Drust_obs.Flight
 
 (* Shared control block: one per allocation, shared by all handles. *)
 type control = {
@@ -14,34 +15,18 @@ type control = {
 
 type t = { control : control; mutable live : bool }
 
-(* Refcount events for the DSan shadow-state checker (lib/check), shared
-   with [Drc].  Each event carries the post-transition count as the
-   implementation sees it, so a shadow counter can be cross-checked
-   against it.  Listeners are keyed per cluster and must never touch the
-   engine or any RNG. *)
-type rc_event =
-  | Rc_created of { g : Gaddr.t; size : int; count : int }
-  | Rc_retained of { g : Gaddr.t; count : int }
-  | Rc_released of { g : Gaddr.t; count : int }
-  | Rc_freed of { g : Gaddr.t }
-
-let listener_key : (Ctx.t -> rc_event -> unit) option ref Drust_machine.Env.key
-    =
-  Drust_machine.Env.key ~name:"runtime.darc_listener"
-
-let listener_cell cluster =
-  Drust_machine.Env.get (Cluster.env cluster) listener_key ~init:(fun () ->
-      ref None)
-
-let set_listener cluster f = listener_cell cluster := f
-
-let[@inline] with_listener ctx k =
-  match !(listener_cell (Ctx.cluster ctx)) with None -> () | Some f -> k f
+(* Refcount transitions, reported with the post-transition count as
+   the implementation computed it so a shadow counter (DSan) can be
+   cross-checked against it.  [Drc] reports the same kinds. *)
+let fr ctx ~kind g ~count ~size =
+  Ctx.record ctx ~kind
+    ~a:(Gaddr.to_int (Gaddr.clear_color g))
+    ~b:count ~c:(Gaddr.color_of g) ~d:size
 
 let create ctx ~size v =
   Ctx.charge_cycles ctx 150.0;
   let g = Cluster.heap_alloc (Ctx.cluster ctx) ~node:ctx.Ctx.node ~size v in
-  with_listener ctx (fun f -> f ctx (Rc_created { g; size; count = 1 }));
+  fr ctx ~kind:Flight.k_rc_create g ~count:1 ~size;
   { control = { g; size; count = 1; freed = false }; live = true }
 
 let home t = Gaddr.node_of t.control.g
@@ -68,7 +53,7 @@ let clone ctx t =
         t.control.count <- t.control.count + 1;
         t.control.count)
   in
-  with_listener ctx (fun f -> f ctx (Rc_retained { g = t.control.g; count }));
+  fr ctx ~kind:Flight.k_rc_retain t.control.g ~count ~size:0;
   { control = t.control; live = true }
 
 let strong_count ctx t =
@@ -110,7 +95,7 @@ let drop ctx t =
       t.control.count <- t.control.count - 1;
       t.control.count)
   in
-  with_listener ctx (fun f -> f ctx (Rc_released { g = t.control.g; count }));
+  fr ctx ~kind:Flight.k_rc_release t.control.g ~count ~size:0;
   if count = 0 then begin
     t.control.freed <- true;
     let cluster = Ctx.cluster ctx in
@@ -118,5 +103,5 @@ let drop ctx t =
       (fun n -> Cache.invalidate_physical n.Cluster.cache t.control.g)
       (Cluster.nodes cluster);
     Cluster.heap_free cluster t.control.g;
-    with_listener ctx (fun f -> f ctx (Rc_freed { g = t.control.g }))
+    fr ctx ~kind:Flight.k_rc_free t.control.g ~count:0 ~size:0
   end

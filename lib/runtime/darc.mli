@@ -25,18 +25,8 @@ val drop : Ctx.t -> t -> unit
 
 val home : t -> int
 
-(** {1 Shadow-state events (the DSan sanitizer, lib/check)}
-
-    One event per refcount transition, carrying the post-transition count
-    as the implementation computed it, so a shadow counter can be
-    cross-checked against it.  [Drc] reuses this vocabulary.  A listener
-    must never touch the engine or any RNG. *)
-
-type rc_event =
-  | Rc_created of { g : Drust_memory.Gaddr.t; size : int; count : int }
-  | Rc_retained of { g : Drust_memory.Gaddr.t; count : int }
-  | Rc_released of { g : Drust_memory.Gaddr.t; count : int }
-  | Rc_freed of { g : Drust_memory.Gaddr.t }
-
-val set_listener :
-  Drust_machine.Cluster.t -> (Ctx.t -> rc_event -> unit) option -> unit
+(** Every refcount transition is reported through [Ctx.record] as kind
+    [rc_create], [rc_retain], [rc_release] or [rc_free], carrying the
+    post-transition count as the implementation computed it, so a
+    shadow counter (DSan) can be cross-checked against it.  [Drc]
+    reports the same kinds.  Payloads: docs/FORENSICS.md. *)

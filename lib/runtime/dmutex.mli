@@ -38,16 +38,8 @@ val contention_retries : t -> int
 (** Total failed CAS attempts observed (a contention signal used by the
     KV-store experiment's analysis). *)
 
-(** {1 Shadow-state events (the DSan sanitizer, lib/check)}
-
-    [Lock_released] fires {e before} the holder check, so a checker
-    observes a foreign unlock the operation itself then rejects.  A
-    listener must never touch the engine or any RNG. *)
-
-type event =
-  | Lock_created of { g : Drust_memory.Gaddr.t }
-  | Lock_acquired of { g : Drust_memory.Gaddr.t; thread : int }
-  | Lock_released of { g : Drust_memory.Gaddr.t; thread : int }
-
-val set_listener :
-  Drust_machine.Cluster.t -> (Ctx.t -> event -> unit) option -> unit
+(** Lock transitions are reported through [Ctx.record] as kinds
+    [lock_create], [lock_acquire] and [lock_release], carrying the
+    acting thread.  [lock_release] fires {e before} the holder check, so
+    a checker observes a foreign unlock the operation itself then
+    rejects. *)

@@ -15,7 +15,7 @@
 
    A handoff is two-phase:
 
-     prepare  record the in-flight transfer, emit [Handoff_prepared];
+     prepare  record the in-flight transfer, report [handoff_prepare];
      drain    flush pending replication write-backs ([sync_now]) so the
               backups are current before the range moves;
      copy     charge the bulk transfer wire time as chunked one-sided
@@ -24,12 +24,13 @@
               as [Node_down] here;
      commit   atomically (no yield points): snapshot the served store,
               swap the serving map ([Cluster.promote]), purge every
-              alive cache of the moved range, bump the epoch, emit
-              [Handoff_committed], announce;
+              alive cache of the moved range, bump the epoch, report
+              [handoff_commit], announce;
      reseed   rebuild the range's replica chain from the new server
-              ([Replication.reseed_chain]), emit [Chain_reseeded].
+              ([Replication.reseed_chain]), report [chain_reseed] and
+              one [chain_host] per replica host.
 
-   A crash during drain/copy aborts the handoff ([Handoff_aborted]): the
+   A crash during drain/copy aborts the handoff ([handoff_abort]): the
    serving map is untouched, so the heartbeat detector's ordinary
    promotion path recovers the range — exactly the fallback DSan's
    handoff-atomicity invariant expects.  The snapshot is taken inside
@@ -56,23 +57,6 @@ type handoff = {
   ho_started : float;
 }
 
-type event =
-  | View_change of { epoch : int; reason : string }
-  | Handoff_prepared of { home : int; from_node : int; to_node : int }
-  | Handoff_committed of {
-      home : int;
-      from_node : int;
-      to_node : int;
-      epoch : int;
-    }
-  | Handoff_aborted of {
-      home : int;
-      from_node : int;
-      to_node : int;
-      reason : string;
-    }
-  | Chain_reseeded of { home : int; server : int; hosts : int list }
-
 type handoff_error = [ `Refused of string | `Aborted of string ]
 
 type t = {
@@ -90,30 +74,6 @@ type t = {
   c_aborts : Metrics.counter;
   c_view_changes : Metrics.counter;
 }
-
-(* Listeners are keyed per cluster (same pattern as Replication's): the
-   DSan sanitizer mirrors these events into its shadow view.  A listener
-   must never touch the engine or any RNG. *)
-let listener_key : (Ctx.t -> event -> unit) option ref Drust_machine.Env.key =
-  Drust_machine.Env.key ~name:"runtime.membership_listener"
-
-let listener_cell cluster =
-  Drust_machine.Env.get (Cluster.env cluster) listener_key ~init:(fun () ->
-      ref None)
-
-let set_listener cluster f = listener_cell cluster := f
-
-let[@inline] with_listener ctx cluster k =
-  match !(listener_cell cluster) with None -> () | Some f -> k (f ctx)
-
-(* Membership transitions land in the flight recorder too, on the acting
-   node's ring — array stores only, recorded next to the listener emit. *)
-let[@inline] fr ctx t ~kind ~a ~b ~c ~d =
-  Flight.record
-    (Cluster.flight t.cluster)
-    ~node:ctx.Ctx.node
-    ~time:(Engine.now (Cluster.engine t.cluster))
-    ~kind ~a ~b ~c ~d
 
 let mark t name ~node =
   let sp = Cluster.spans t.cluster in
@@ -192,12 +152,11 @@ let announce ctx t =
             if e > t.known.(id) then t.known.(id) <- e))
     (Cluster.alive_nodes t.cluster)
 
-let bump_view ctx t reason =
+(* [reason] is a [Flight.view_*] code; [node] the member it concerns. *)
+let bump_view ctx t ~reason ~node =
   t.epoch <- t.epoch + 1;
   Metrics.incr t.c_view_changes;
-  fr ctx t ~kind:Flight.k_view_change ~a:t.epoch ~b:0 ~c:0 ~d:0;
-  with_listener ctx t.cluster (fun emit ->
-      emit (View_change { epoch = t.epoch; reason }));
+  Ctx.record ctx ~kind:Flight.k_view_change ~a:t.epoch ~b:reason ~c:node ~d:0;
   announce ctx t
 
 (* The controller's failure verdict, called before promotion: the view
@@ -209,7 +168,7 @@ let node_failed ctx t ~node =
   then begin
     t.states.(node) <- Failed;
     mark t "MEMBER_FAILED" ~node;
-    bump_view ctx t (Printf.sprintf "failover: node %d" node)
+    bump_view ctx t ~reason:Flight.view_failover ~node
   end
 
 let alive t id = (Cluster.node t.cluster id).Cluster.alive
@@ -276,10 +235,8 @@ let handoff ctx t ~home ~to_node =
     let now = Engine.now (Cluster.engine t.cluster) in
     t.in_flight <- Some { ho_home = home; ho_from = from_node; ho_to = to_node; ho_started = now };
     mark t "HANDOFF_PREPARE" ~node:home;
-    fr ctx t ~kind:Flight.k_handoff_prepare ~a:home ~b:from_node ~c:to_node
+    Ctx.record ctx ~kind:Flight.k_handoff_prepare ~a:home ~b:from_node ~c:to_node
       ~d:0;
-    with_listener ctx t.cluster (fun emit ->
-        emit (Handoff_prepared { home; from_node; to_node }));
     let fabric = Cluster.fabric t.cluster in
     match
       (* Drain: backups must be current before the range moves, so an
@@ -303,12 +260,9 @@ let handoff ctx t ~home ~to_node =
         t.in_flight <- None;
         Metrics.incr t.c_aborts;
         mark t "HANDOFF_ABORT" ~node:home;
-        fr ctx t ~kind:Flight.k_handoff_abort ~a:home ~b:from_node ~c:to_node
+        Ctx.record ctx ~kind:Flight.k_handoff_abort ~a:home ~b:from_node ~c:to_node
           ~d:0;
-        let reason = Printexc.to_string e in
-        with_listener ctx t.cluster (fun emit ->
-            emit (Handoff_aborted { home; from_node; to_node; reason }));
-        Error (`Aborted reason)
+        Error (`Aborted (Printexc.to_string e))
     | () ->
         (* Commit: everything from here to the committed event runs
            without a yield point, so no verb can observe a half-moved
@@ -333,17 +287,16 @@ let handoff ctx t ~home ~to_node =
         Metrics.incr t.c_commits;
         Metrics.incr t.c_view_changes;
         mark t "HANDOFF_COMMIT" ~node:home;
-        fr ctx t ~kind:Flight.k_handoff_commit ~a:home ~b:from_node ~c:to_node
+        Ctx.record ctx ~kind:Flight.k_handoff_commit ~a:home ~b:from_node ~c:to_node
           ~d:t.epoch;
-        with_listener ctx t.cluster (fun emit ->
-            emit
-              (Handoff_committed { home; from_node; to_node; epoch = t.epoch }));
         announce ctx t;
         let hosts = Replication.reseed_chain ctx t.replication ~home in
-        fr ctx t ~kind:Flight.k_chain_reseed ~a:home ~b:to_node
+        Ctx.record ctx ~kind:Flight.k_chain_reseed ~a:home ~b:to_node
           ~c:(List.length hosts) ~d:0;
-        with_listener ctx t.cluster (fun emit ->
-            emit (Chain_reseeded { home; server = to_node; hosts }));
+        List.iteri
+          (fun i host ->
+            Ctx.record ctx ~kind:Flight.k_chain_host ~a:home ~b:host ~c:to_node ~d:i)
+          hosts;
         Ok ()
   end
 
@@ -356,7 +309,7 @@ let join ctx t ~node =
   else begin
     t.states.(node) <- Active;
     mark t "JOIN" ~node;
-    bump_view ctx t (Printf.sprintf "join: node %d" node);
+    bump_view ctx t ~reason:Flight.view_join ~node;
     (* Rebalance: take one home range off the most-loaded member.  With
        no donor (first member, or every other member empty and serving
        nothing) the joiner starts cold. *)
@@ -387,7 +340,7 @@ let join ctx t ~node =
             (* The activation is rolled back: a join whose seed handoff
                failed never happened as far as placement is concerned. *)
             t.states.(node) <- Standby;
-            bump_view ctx t (Printf.sprintf "join rollback: node %d" node);
+            bump_view ctx t ~reason:Flight.view_join_rollback ~node;
             Error e)
   end
 
@@ -416,7 +369,7 @@ let leave ctx t ~node =
     | Ok moved ->
         t.states.(node) <- Standby;
         Metrics.incr t.c_leaves;
-        bump_view ctx t (Printf.sprintf "leave: node %d" node);
+        bump_view ctx t ~reason:Flight.view_leave ~node;
         Ok moved
     | Error e -> Error e
   end

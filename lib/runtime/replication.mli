@@ -49,7 +49,10 @@ val fail_and_promote : Ctx.t -> t -> node:int -> unit
     hosts are {e all} dead is not promoted; it is recorded in
     {!unrecoverable_ranges} and its reads keep failing with
     [Fabric.Node_down] — cascading failures degrade to an explicit
-    report, never an exception from inside promotion. *)
+    report, never an exception from inside promotion.  Reports
+    [node_failed] once, before any promotion, then [promoted] once per
+    re-served range, after its serving swap and cache purge (through
+    [Ctx.record]). *)
 
 val unrecoverable_ranges : t -> int list
 (** Home ranges lost to cascading failures (server and every replica
@@ -63,17 +66,3 @@ val reseed_chain : Ctx.t -> t -> home:int -> int list
     order; dead hosts — and a ring slot landing on the server itself,
     where a backup would survive exactly the failures the primary
     survives — are skipped and never promoted. *)
-
-(** {1 Shadow-state events (the DSan sanitizer, lib/check)}
-
-    [Promoted] fires once per re-served range, after the serving map is
-    swapped and surviving caches purged; [Node_failed] fires once per
-    failure before any promotion.  A listener must never touch the
-    engine or any RNG. *)
-
-type event =
-  | Node_failed of { node : int }
-  | Promoted of { home : int; by : int; replica : int }
-
-val set_listener :
-  Drust_machine.Cluster.t -> (Ctx.t -> event -> unit) option -> unit

@@ -19,7 +19,6 @@ module Params = Drust_machine.Params
 module Ctx = Drust_machine.Ctx
 module P = Drust_core.Protocol
 module Gaddr = Drust_memory.Gaddr
-module Cache = Drust_memory.Cache
 module Univ = Drust_util.Univ
 module Dsan = Drust_check.Dsan
 
@@ -62,17 +61,17 @@ let () =
          Fun.protect
            ~finally:(fun () -> Dsan.detach t)
            (fun () ->
-             let g0 = Gaddr.clear_color g in
-             let g1 = Gaddr.bump_color g0 in
-             Dsan.observe_protocol t ~time:1e-5 ~node:0 ~thread:0
-               (P.Ev_create { g = g0; size = 64 });
-             Dsan.observe_cache t ~time:1.1e-5 ~node:1
-               (Cache.Insert { key = g0; size = 64 });
-             Dsan.observe_protocol t ~time:1.2e-5 ~node:0 ~thread:0
-               (P.Ev_write
-                  { before = g0; after = g1; size = 64; kind = P.W_bump });
-             Dsan.observe_protocol t ~time:1.3e-5 ~node:1 ~thread:2
-               (P.Ev_read { g = g1; path = P.Path_cache g0 });
+             let ev ~time ~node ~thread kind ~b ~c ~d =
+               Dsan.observe t ~time ~node ~thread ~kind ~a:!phys ~b ~c ~d
+             in
+             ev ~time:1e-5 ~node:0 ~thread:0 Flight.k_create ~b:0 ~c:0 ~d:64;
+             ev ~time:1.1e-5 ~node:1 ~thread:(-1) Flight.k_cache_insert ~b:0
+               ~c:0 ~d:64;
+             ev ~time:1.2e-5 ~node:0 ~thread:0 Flight.k_write_bump ~b:!phys
+               ~c:1 ~d:0;
+             (* a read served from the copy cached under color 0 *)
+             ev ~time:1.3e-5 ~node:1 ~thread:2 Flight.k_read_cached ~b:0 ~c:1
+               ~d:0;
              if Dsan.violations t = [] then begin
                prerr_endline
                  "inject_flight: sanitizer did not flag the injection";

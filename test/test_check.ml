@@ -1,9 +1,9 @@
 (* Tests for the DSan shadow-state sanitizer (lib/check).
 
    Three layers:
-   - injection: feed deliberately corrupted event streams into the
-     observe_* entry points and assert every invariant class is caught
-     with an attributed report;
+   - injection: feed deliberately corrupted event streams, encoded with
+     the flight kind codes the hook sites use, into [Dsan.observe] and
+     assert every invariant class is caught with an attributed report;
    - clean runs: real protocol / runtime / chaos-failover workloads under
      the sanitizer must produce zero violations (including the two
      regressions the sanitizer originally surfaced: the pinned
@@ -17,13 +17,12 @@ module Params = Drust_machine.Params
 module Ctx = Drust_machine.Ctx
 module P = Drust_core.Protocol
 module Gaddr = Drust_memory.Gaddr
-module Cache = Drust_memory.Cache
 module Univ = Drust_util.Univ
 module Darc = Drust_runtime.Darc
 module Drc = Drust_runtime.Drc
 module Dmutex = Drust_runtime.Dmutex
 module Replication = Drust_runtime.Replication
-module Membership = Drust_runtime.Membership
+module Flight = Drust_obs.Flight
 module Dsan = Drust_check.Dsan
 
 let int_tag : int Univ.tag = Univ.create_tag ~name:"int"
@@ -64,16 +63,45 @@ let with_sink f =
 let addr ?(color = 0) ~node ~offset () =
   Gaddr.with_color (Gaddr.make ~node ~offset) color
 
+let phys g = Gaddr.to_int (Gaddr.clear_color g)
+
+(* Inject one flight event, payload fields as the hook sites fill them
+   (docs/FORENSICS.md). *)
+let ev t ~time ~node ?(thread = -1) kind ~a ~b ~c ~d =
+  Dsan.observe t ~time ~node ~thread ~kind ~a ~b ~c ~d
+
+(* An event about the object at [g]: a = physical address, c = color. *)
+let obj t ~time ~node ?thread kind g ~b ~d =
+  ev t ~time ~node ?thread kind ~a:(phys g) ~b ~c:(Gaddr.color_of g) ~d
+
+let create t ~time ~node ~thread g =
+  obj t ~time ~node ~thread Flight.k_create g ~b:(Gaddr.node_of g) ~d:64
+
+let cache_insert t ~time ~node g =
+  obj t ~time ~node Flight.k_cache_insert g ~b:0 ~d:64
+
+(* A write that changed the colored address from [before] to [after]. *)
+let write t ~time ~node ~thread kind ~before ~after =
+  obj t ~time ~node ~thread kind after ~b:(phys before) ~d:(Gaddr.node_of after)
+
+(* A chain reseed followed by one chain_host per host, as Membership
+   reports it. *)
+let reseed t ~time ~home ~server hosts =
+  ev t ~time ~node:0 Flight.k_chain_reseed ~a:home ~b:server
+    ~c:(List.length hosts) ~d:0;
+  List.iteri
+    (fun i h ->
+      ev t ~time ~node:0 Flight.k_chain_host ~a:home ~b:h ~c:server ~d:i)
+    hosts
+
 (* ------------------------------------------------------------------ *)
 (* Injection: every invariant class must be caught *)
 
 let test_inject_double_owner () =
   with_sink (fun t ->
       let g = addr ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:2 ~thread:1
-        (P.Ev_create { g; size = 64 });
+      create t ~time:0.0 ~node:1 ~thread:0 g;
+      create t ~time:2e-6 ~node:2 ~thread:1 g;
       check_flagged "double owner" t [ "dsan.single_owner" ];
       match Dsan.violations t with
       | [ r ] ->
@@ -89,26 +117,25 @@ let test_inject_stale_cache_read () =
   with_sink (fun t ->
       let g0 = addr ~node:1 ~offset:4096 () in
       let g1 = addr ~color:1 ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g = g0; size = 64 });
-      Dsan.observe_cache t ~time:1e-6 ~node:3 (Cache.Insert { key = g0; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:1 ~thread:0
-        (P.Ev_write { before = g0; after = g1; size = 64; kind = P.W_bump });
-      (* read served from the copy fetched under the old color *)
-      Dsan.observe_protocol t ~time:3e-6 ~node:3 ~thread:2
-        (P.Ev_read { g = g1; path = P.Path_cache g0 });
+      create t ~time:0.0 ~node:1 ~thread:0 g0;
+      cache_insert t ~time:1e-6 ~node:3 g0;
+      write t ~time:2e-6 ~node:1 ~thread:0 Flight.k_write_bump ~before:g0
+        ~after:g1;
+      (* read served from the copy fetched under the old color: d is the
+         color of the cached copy's key *)
+      obj t ~time:3e-6 ~node:3 ~thread:2 Flight.k_read_cached g1 ~b:1
+        ~d:(Gaddr.color_of g0);
       check_flagged "stale cached copy served" t [ "dsan.stale_cache_read" ])
 
 let test_inject_stale_cache_hit () =
   with_sink (fun t ->
       let g0 = addr ~node:1 ~offset:4096 () in
       let g1 = addr ~color:1 ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g = g0; size = 64 });
-      Dsan.observe_protocol t ~time:1e-6 ~node:1 ~thread:0
-        (P.Ev_write { before = g0; after = g1; size = 64; kind = P.W_bump });
+      create t ~time:0.0 ~node:1 ~thread:0 g0;
+      write t ~time:1e-6 ~node:1 ~thread:0 Flight.k_write_bump ~before:g0
+        ~after:g1;
       (* the cache itself reports a hit under a stale colored key *)
-      Dsan.observe_cache t ~time:2e-6 ~node:2 (Cache.Hit { key = g0 });
+      obj t ~time:2e-6 ~node:2 Flight.k_cache_hit g0 ~b:0 ~d:0;
       check_flagged "stale hit" t [ "dsan.stale_cache_read" ])
 
 let test_inject_inplace_write_with_live_copies () =
@@ -117,75 +144,59 @@ let test_inject_inplace_write_with_live_copies () =
      reachable in remote caches. *)
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:8192 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:0 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_cache t ~time:1e-6 ~node:2 (Cache.Insert { key = g; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:1 ~thread:3
-        (P.Ev_write { before = g; after = g; size = 64; kind = P.W_in_place });
+      create t ~time:0.0 ~node:0 ~thread:0 g;
+      cache_insert t ~time:1e-6 ~node:2 g;
+      obj t ~time:2e-6 ~node:1 ~thread:3 Flight.k_write_inplace g ~b:0
+        ~d:(Gaddr.node_of g);
       check_flagged "in-place write with reachable copies" t
         [ "dsan.move_invalidation" ])
 
 let test_inject_negative_refcount () =
   with_sink (fun t ->
       let g = addr ~node:2 ~offset:256 () in
-      Dsan.observe_rc t ~time:0.0 ~node:2 ~thread:0
-        (Darc.Rc_created { g; size = 32; count = 1 });
-      Dsan.observe_rc t ~time:1e-6 ~node:2 ~thread:0
-        (Darc.Rc_released { g; count = 0 });
-      Dsan.observe_rc t ~time:2e-6 ~node:3 ~thread:1
-        (Darc.Rc_released { g; count = -1 });
+      obj t ~time:0.0 ~node:2 ~thread:0 Flight.k_rc_create g ~b:1 ~d:32;
+      obj t ~time:1e-6 ~node:2 ~thread:0 Flight.k_rc_release g ~b:0 ~d:0;
+      obj t ~time:2e-6 ~node:3 ~thread:1 Flight.k_rc_release g ~b:(-1) ~d:0;
       check_flagged "negative refcount" t [ "dsan.refcount_sanity" ])
 
 let test_inject_refcount_divergence_and_leak () =
   with_sink (fun t ->
       let g = addr ~node:2 ~offset:512 () in
-      Dsan.observe_rc t ~time:0.0 ~node:2 ~thread:0
-        (Darc.Rc_created { g; size = 32; count = 1 });
+      obj t ~time:0.0 ~node:2 ~thread:0 Flight.k_rc_create g ~b:1 ~d:32;
       (* implementation says 3, shadow says 2: lost update on the count *)
-      Dsan.observe_rc t ~time:1e-6 ~node:2 ~thread:0
-        (Darc.Rc_retained { g; count = 3 });
+      obj t ~time:1e-6 ~node:2 ~thread:0 Flight.k_rc_retain g ~b:3 ~d:0;
       check_flagged "diverged" t [ "dsan.refcount_sanity" ];
       Dsan.clear t;
       (* freed while the shadow still expects holders *)
-      Dsan.observe_rc t ~time:2e-6 ~node:2 ~thread:0 (Darc.Rc_freed { g });
+      obj t ~time:2e-6 ~node:2 ~thread:0 Flight.k_rc_free g ~b:0 ~d:0;
       check_flagged "freed with holders" t [ "dsan.refcount_sanity" ];
       Dsan.clear t;
       (* and any use after the free *)
-      Dsan.observe_rc t ~time:3e-6 ~node:2 ~thread:0
-        (Darc.Rc_retained { g; count = 1 });
+      obj t ~time:3e-6 ~node:2 ~thread:0 Flight.k_rc_retain g ~b:1 ~d:0;
       check_flagged "retain after free" t [ "dsan.use_after_free" ])
 
 let test_inject_foreign_unlock () =
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:64 () in
-      Dsan.observe_lock t ~time:0.0 ~node:0 ~thread:1
-        (Dmutex.Lock_created { g });
-      Dsan.observe_lock t ~time:1e-6 ~node:0 ~thread:1
-        (Dmutex.Lock_acquired { g; thread = 1 });
-      Dsan.observe_lock t ~time:2e-6 ~node:2 ~thread:7
-        (Dmutex.Lock_released { g; thread = 7 });
+      obj t ~time:0.0 ~node:0 ~thread:1 Flight.k_lock_create g ~b:1 ~d:0;
+      obj t ~time:1e-6 ~node:0 ~thread:1 Flight.k_lock_acquire g ~b:1 ~d:0;
+      obj t ~time:2e-6 ~node:2 ~thread:7 Flight.k_lock_release g ~b:7 ~d:0;
       check_flagged "foreign unlock" t [ "dsan.lock_discipline" ])
 
 let test_inject_double_grant () =
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:64 () in
-      Dsan.observe_lock t ~time:0.0 ~node:0 ~thread:1
-        (Dmutex.Lock_created { g });
-      Dsan.observe_lock t ~time:1e-6 ~node:0 ~thread:1
-        (Dmutex.Lock_acquired { g; thread = 1 });
-      Dsan.observe_lock t ~time:2e-6 ~node:1 ~thread:2
-        (Dmutex.Lock_acquired { g; thread = 2 });
+      obj t ~time:0.0 ~node:0 ~thread:1 Flight.k_lock_create g ~b:1 ~d:0;
+      obj t ~time:1e-6 ~node:0 ~thread:1 Flight.k_lock_acquire g ~b:1 ~d:0;
+      obj t ~time:2e-6 ~node:1 ~thread:2 Flight.k_lock_acquire g ~b:2 ~d:0;
       check_flagged "double grant" t [ "dsan.lock_discipline" ])
 
 let test_inject_double_promotion () =
   with_sink (fun t ->
-      Dsan.observe_failover t ~time:1e-3 ~node:0
-        (Replication.Node_failed { node = 1 });
-      Dsan.observe_failover t ~time:2e-3 ~node:0
-        (Replication.Promoted { home = 1; by = 2; replica = 0 });
+      ev t ~time:1e-3 ~node:0 Flight.k_node_failed ~a:1 ~b:0 ~c:0 ~d:0;
+      ev t ~time:2e-3 ~node:0 Flight.k_promoted ~a:1 ~b:2 ~c:0 ~d:0;
       Alcotest.(check int) "first promotion legal" 0 (Dsan.violation_count t);
-      Dsan.observe_failover t ~time:3e-3 ~node:0
-        (Replication.Promoted { home = 1; by = 3; replica = 1 });
+      ev t ~time:3e-3 ~node:0 Flight.k_promoted ~a:1 ~b:3 ~c:1 ~d:0;
       check_flagged "second promotion of a served range" t
         [ "dsan.promotion_uniqueness" ])
 
@@ -194,122 +205,102 @@ let test_inject_promotion_without_purge () =
      promoted range still cached on survivors after the promotion. *)
   with_sink (fun t ->
       let g = addr ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:0 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_cache t ~time:1e-6 ~node:3 (Cache.Insert { key = g; size = 64 });
-      Dsan.observe_failover t ~time:1e-3 ~node:0
-        (Replication.Node_failed { node = 1 });
-      Dsan.observe_failover t ~time:2e-3 ~node:0
-        (Replication.Promoted { home = 1; by = 2; replica = 0 });
+      create t ~time:0.0 ~node:0 ~thread:0 g;
+      cache_insert t ~time:1e-6 ~node:3 g;
+      ev t ~time:1e-3 ~node:0 Flight.k_node_failed ~a:1 ~b:0 ~c:0 ~d:0;
+      ev t ~time:2e-3 ~node:0 Flight.k_promoted ~a:1 ~b:2 ~c:0 ~d:0;
       check_flagged "copies survived the failover purge" t
         [ "dsan.move_invalidation" ])
 
 let test_inject_epoch_regression () =
   with_sink (fun t ->
-      Dsan.observe_membership t ~time:1e-3 ~node:0
-        (Membership.View_change { epoch = 1; reason = "join" });
-      Dsan.observe_membership t ~time:2e-3 ~node:0
-        (Membership.View_change { epoch = 3; reason = "leave" });
+      let view ~time epoch reason =
+        ev t ~time ~node:0 Flight.k_view_change ~a:epoch ~b:reason ~c:1 ~d:0
+      in
+      view ~time:1e-3 1 Flight.view_join;
+      view ~time:2e-3 3 Flight.view_leave;
       Alcotest.(check int) "monotone climb legal" 0 (Dsan.violation_count t);
       (* a repeated epoch is as illegal as a regression: both mean two
          views could answer for the same instant *)
-      Dsan.observe_membership t ~time:3e-3 ~node:0
-        (Membership.View_change { epoch = 3; reason = "echo" });
+      view ~time:3e-3 3 Flight.view_join;
       check_flagged "repeated epoch" t [ "dsan.epoch_monotonic" ];
       Dsan.clear t;
-      Dsan.observe_membership t ~time:4e-3 ~node:0
-        (Membership.View_change { epoch = 2; reason = "rollback" });
+      view ~time:4e-3 2 Flight.view_join_rollback;
       check_flagged "epoch went backwards" t [ "dsan.epoch_monotonic" ])
 
 let test_inject_handoff_atomicity () =
   with_sink (fun t ->
+      let handoff kind ~time ~home ~from_node ~to_node ~epoch =
+        ev t ~time ~node:0 kind ~a:home ~b:from_node ~c:to_node ~d:epoch
+      in
+      let prepare = handoff Flight.k_handoff_prepare ~epoch:0 in
+      let commit = handoff Flight.k_handoff_commit in
       (* commit with no prepare *)
-      Dsan.observe_membership t ~time:1e-3 ~node:0
-        (Membership.Handoff_committed
-           { home = 1; from_node = 1; to_node = 2; epoch = 1 });
+      commit ~time:1e-3 ~home:1 ~from_node:1 ~to_node:2 ~epoch:1;
       check_flagged "commit without prepare" t [ "dsan.handoff_atomicity" ];
       Dsan.clear t;
       (* prepare/commit endpoint mismatch: the range would end up with a
          server the prepare never named *)
-      Dsan.observe_membership t ~time:2e-3 ~node:0
-        (Membership.Handoff_prepared { home = 3; from_node = 3; to_node = 0 });
-      Dsan.observe_membership t ~time:3e-3 ~node:0
-        (Membership.Handoff_committed
-           { home = 3; from_node = 3; to_node = 1; epoch = 2 });
+      prepare ~time:2e-3 ~home:3 ~from_node:3 ~to_node:0;
+      commit ~time:3e-3 ~home:3 ~from_node:3 ~to_node:1 ~epoch:2;
       check_flagged "commit does not match prepare" t
         [ "dsan.handoff_atomicity" ];
       Dsan.clear t;
       (* a second prepare for a range already in flight *)
-      Dsan.observe_membership t ~time:4e-3 ~node:0
-        (Membership.Handoff_prepared { home = 0; from_node = 0; to_node = 2 });
-      Dsan.observe_membership t ~time:5e-3 ~node:0
-        (Membership.Handoff_prepared { home = 0; from_node = 0; to_node = 3 });
+      prepare ~time:4e-3 ~home:0 ~from_node:0 ~to_node:2;
+      prepare ~time:5e-3 ~home:0 ~from_node:0 ~to_node:3;
       check_flagged "double prepare" t [ "dsan.handoff_atomicity" ];
       Dsan.clear t;
       (* prepare from a node that does not serve the range: committing it
          would leave the range with two servers *)
-      Dsan.observe_membership t ~time:6e-3 ~node:0
-        (Membership.Handoff_prepared { home = 2; from_node = 3; to_node = 0 });
+      prepare ~time:6e-3 ~home:2 ~from_node:3 ~to_node:0;
       check_flagged "prepare from a non-server" t [ "dsan.handoff_atomicity" ];
       Dsan.clear t;
       (* handing a range to a dead node: zero servers *)
-      Dsan.observe_failover t ~time:7e-3 ~node:0
-        (Replication.Node_failed { node = 3 });
-      Dsan.observe_membership t ~time:8e-3 ~node:0
-        (Membership.Handoff_prepared { home = 1; from_node = 1; to_node = 3 });
+      ev t ~time:7e-3 ~node:0 Flight.k_node_failed ~a:3 ~b:0 ~c:0 ~d:0;
+      prepare ~time:8e-3 ~home:1 ~from_node:1 ~to_node:3;
       check_flagged "prepare toward a dead node" t [ "dsan.handoff_atomicity" ])
 
 let test_inject_bad_reseed () =
   with_sink (fun t ->
-      Dsan.observe_membership t ~time:1e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 1; hosts = [] });
+      reseed t ~time:1e-3 ~home:1 ~server:1 [];
       check_flagged "empty chain" t [ "dsan.replica_chain_intact" ];
       Dsan.clear t;
-      Dsan.observe_membership t ~time:2e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 1; hosts = [ 2; 2 ] });
+      reseed t ~time:2e-3 ~home:1 ~server:1 [ 2; 2 ];
       check_flagged "duplicate host" t [ "dsan.replica_chain_intact" ];
       Dsan.clear t;
-      Dsan.observe_membership t ~time:3e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 1; hosts = [ 1 ] });
+      reseed t ~time:3e-3 ~home:1 ~server:1 [ 1 ];
       check_flagged "replica co-located with server" t
         [ "dsan.replica_chain_intact" ];
       Dsan.clear t;
-      Dsan.observe_failover t ~time:4e-3 ~node:0
-        (Replication.Node_failed { node = 3 });
-      Dsan.observe_membership t ~time:5e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 1; hosts = [ 3 ] });
+      ev t ~time:4e-3 ~node:0 Flight.k_node_failed ~a:3 ~b:0 ~c:0 ~d:0;
+      reseed t ~time:5e-3 ~home:1 ~server:1 [ 3 ];
       check_flagged "replica on a dead host" t [ "dsan.replica_chain_intact" ];
       Dsan.clear t;
       (* chain announced around a server that does not serve the range *)
-      Dsan.observe_membership t ~time:6e-3 ~node:0
-        (Membership.Chain_reseeded { home = 1; server = 2; hosts = [ 0 ] });
+      reseed t ~time:6e-3 ~home:1 ~server:2 [ 0 ];
       check_flagged "server mismatch" t [ "dsan.replica_chain_intact" ])
 
 let test_inject_borrow_violations () =
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:128 () in
       let g1 = addr ~color:1 ~node:0 ~offset:128 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:0 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:1e-6 ~node:0 ~thread:0
-        (P.Ev_borrow_imm { g });
-      Dsan.observe_protocol t ~time:2e-6 ~node:0 ~thread:0
-        (P.Ev_write { before = g; after = g1; size = 64; kind = P.W_bump });
+      create t ~time:0.0 ~node:0 ~thread:0 g;
+      obj t ~time:1e-6 ~node:0 ~thread:0 Flight.k_borrow_imm g ~b:0 ~d:0;
+      write t ~time:2e-6 ~node:0 ~thread:0 Flight.k_write_bump ~before:g
+        ~after:g1;
       check_flagged "write while immutably borrowed" t
         [ "dsan.borrow_discipline" ];
       Dsan.clear t;
-      Dsan.observe_protocol t ~time:3e-6 ~node:0 ~thread:1
-        (P.Ev_borrow_mut { g = g1 });
+      obj t ~time:3e-6 ~node:0 ~thread:1 Flight.k_borrow_mut g1 ~b:0 ~d:0;
       check_flagged "mut borrow while shared" t [ "dsan.borrow_discipline" ])
 
 let test_inject_use_after_free () =
   with_sink (fun t ->
       let g = addr ~node:0 ~offset:128 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:0 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:1e-6 ~node:0 ~thread:0 (P.Ev_drop { g });
-      Dsan.observe_protocol t ~time:2e-6 ~node:0 ~thread:0
-        (P.Ev_read { g; path = P.Path_local });
+      create t ~time:0.0 ~node:0 ~thread:0 g;
+      obj t ~time:1e-6 ~node:0 ~thread:0 Flight.k_drop g ~b:0 ~d:0;
+      obj t ~time:2e-6 ~node:0 ~thread:0 Flight.k_read_local g ~b:0 ~d:0;
       check_flagged "read after drop" t [ "dsan.use_after_free" ])
 
 let test_raise_mode () =
@@ -319,12 +310,8 @@ let test_raise_mode () =
     ~finally:(fun () -> Dsan.detach t)
     (fun () ->
       let g = addr ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      match
-        Dsan.observe_protocol t ~time:1e-6 ~node:1 ~thread:0
-          (P.Ev_create { g; size = 64 })
-      with
+      create t ~time:0.0 ~node:1 ~thread:0 g;
+      match create t ~time:1e-6 ~node:1 ~thread:0 g with
       | () -> Alcotest.fail "expected Dsan.Violation"
       | exception Dsan.Violation r ->
           Alcotest.(check string)
@@ -334,10 +321,8 @@ let test_raise_mode () =
 let test_report_rendering () =
   with_sink (fun t ->
       let g = addr ~node:1 ~offset:4096 () in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:2 ~thread:1
-        (P.Ev_create { g; size = 64 });
+      create t ~time:0.0 ~node:1 ~thread:0 g;
+      create t ~time:2e-6 ~node:2 ~thread:1 g;
       let s = Dsan.report_to_string (List.hd (Dsan.violations t)) in
       Alcotest.(check bool) "names the invariant" true
         (Astring.String.is_infix ~affix:"dsan.single_owner" s);
@@ -513,34 +498,33 @@ let test_sanitized_fig6_bit_identical () =
   check_bit_identical "fig6" plain sanitized
 
 (* ------------------------------------------------------------------ *)
-(* Two-cluster isolation: with all per-cluster state in the Env record,
-   two clusters stepped in lockstep in one process must not observe each
-   other — separate sanitizers, probes, listeners, protocol options and
-   stats, with zero cross-talk. *)
+(* Two-cluster isolation: with all per-cluster state in the Env record
+   and each cluster's events on its own flight recorder, two clusters
+   stepped in lockstep in one process must not observe each other —
+   separate sanitizers, subscribers, protocol options and stats, with
+   zero cross-talk. *)
 
 let test_two_clusters_interleaved_isolation () =
   let a = Cluster.create (small_params 2) in
   let b = Cluster.create (small_params 2) in
   let ta = Dsan.attach a in
   let tb = Dsan.attach b in
-  (* Per-cluster probes and refcount listeners that also assert every
-     event they see belongs to their own cluster. *)
+  (* Per-cluster subscribers that count the protocol and refcount events
+     they see, then hand every event on to their own cluster's
+     sanitizer. *)
   let probes_a = ref 0 and probes_b = ref 0 in
   let rc_a = ref 0 and rc_b = ref 0 in
-  let probe own counter ctx _ev =
-    if Ctx.cluster ctx != own then
-      Alcotest.fail "probe cross-talk: event from the other cluster";
-    incr counter
+  let counting dsan probes rcs ~time ~node ~thread ~kind ~a ~b ~c ~d =
+    if
+      kind <= Flight.k_create
+      || (kind >= Flight.k_borrow_imm && kind <= Flight.k_return_mut)
+    then incr probes
+    else if kind >= Flight.k_rc_create && kind <= Flight.k_rc_free then
+      incr rcs;
+    Dsan.observe dsan ~time ~node ~thread ~kind ~a ~b ~c ~d
   in
-  let rc own counter ctx _ev =
-    if Ctx.cluster ctx != own then
-      Alcotest.fail "listener cross-talk: event from the other cluster";
-    incr counter
-  in
-  P.set_probe a (Some (probe a probes_a));
-  P.set_probe b (Some (probe b probes_b));
-  Darc.set_listener a (Some (rc a rc_a));
-  Darc.set_listener b (Some (rc b rc_b));
+  ignore (Flight.subscribe (Cluster.flight a) (counting ta probes_a rc_a));
+  ignore (Flight.subscribe (Cluster.flight b) (counting tb probes_b rc_b));
   (* Divergent per-cluster options: A moves on every access, B keeps the
      default coloring protocol. *)
   P.set_always_move a true;
@@ -598,6 +582,26 @@ let test_two_clusters_interleaved_isolation () =
   Dsan.detach ta;
   Dsan.detach tb
 
+(* Detaching a sanitizer that a later attach has replaced must leave the
+   later one subscribed: it keeps seeing (and flagging) events. *)
+let test_detach_keeps_later_sanitizer () =
+  let cluster = Cluster.create (small_params 4) in
+  let first = Dsan.attach cluster in
+  let second = Dsan.attach cluster in
+  Dsan.detach first;
+  let g = addr ~node:1 ~offset:4096 () in
+  let create_on node =
+    Flight.record (Cluster.flight cluster) ~node ~time:0.0 ~thread:0
+      ~kind:Flight.k_create ~a:(phys g) ~b:1 ~c:0 ~d:64
+  in
+  create_on 1;
+  create_on 2;
+  check_flagged "the later sanitizer still observes" second
+    [ "dsan.single_owner" ];
+  Alcotest.(check int) "the replaced one saw nothing" 0
+    (Dsan.violation_count first);
+  Dsan.detach second
+
 let () =
   Alcotest.run "check"
     [
@@ -650,5 +654,7 @@ let () =
         [
           Alcotest.test_case "two clusters interleaved" `Quick
             test_two_clusters_interleaved_isolation;
+          Alcotest.test_case "detach keeps a later sanitizer" `Quick
+            test_detach_keeps_later_sanitizer;
         ] );
     ]

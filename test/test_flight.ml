@@ -18,6 +18,11 @@ module Gaddr = Drust_memory.Gaddr
 module Cache = Drust_memory.Cache
 module Univ = Drust_util.Univ
 module Dsan = Drust_check.Dsan
+module Darc = Drust_runtime.Darc
+module Dmutex = Drust_runtime.Dmutex
+module Fabric = Drust_net.Fabric
+module Fault = Drust_sim.Fault
+module Metrics = Drust_obs.Metrics
 
 let int_tag : int Univ.tag = Univ.create_tag ~name:"int"
 let pack = Univ.pack int_tag
@@ -61,6 +66,10 @@ let check_line msg ~affix lines =
     true
     (List.exists (contains ~affix) lines)
 
+(* A thread-less event, as the fabric and membership layers report. *)
+let record t ~node ~time ~kind ~a ~b ~c ~d =
+  Flight.record t ~node ~time ~thread:(-1) ~kind ~a ~b ~c ~d
+
 (* ------------------------------------------------------------------ *)
 (* Kind table *)
 
@@ -75,9 +84,11 @@ let test_kind_table_pins_protocol_codes () =
     (Array.to_list (Array.sub Flight.kind_names 0 n));
   Alcotest.(check int) "read_local is code 0" 0 Flight.k_read_local;
   Alcotest.(check int) "drop is the last protocol code" (n - 1) Flight.k_drop;
+  Alcotest.(check int) "dsan_violation is the last ring kind"
+    (Flight.ring_kinds - 1) Flight.k_dsan_violation;
   Alcotest.(check int) "every kind code is named"
     (Array.length Flight.kind_names - 1)
-    Flight.k_dsan_violation
+    Flight.k_chain_host
 
 (* ------------------------------------------------------------------ *)
 (* The ring *)
@@ -85,10 +96,10 @@ let test_kind_table_pins_protocol_codes () =
 let test_ring_wraps_and_merges () =
   let t = Flight.create ~cap:4 ~nodes:2 () in
   for i = 1 to 10 do
-    Flight.record t ~node:0 ~time:(float_of_int i) ~kind:Flight.k_fab_send
+    record t ~node:0 ~time:(float_of_int i) ~kind:Flight.k_fab_send
       ~a:1 ~b:i ~c:0 ~d:0
   done;
-  Flight.record t ~node:1 ~time:99.0 ~kind:Flight.k_view_change ~a:7 ~b:0
+  record t ~node:1 ~time:99.0 ~kind:Flight.k_view_change ~a:7 ~b:0
     ~c:0 ~d:0;
   Alcotest.(check int) "recorded counts overflow too" 10
     (Flight.recorded t ~node:0);
@@ -106,11 +117,127 @@ let test_ring_wraps_and_merges () =
         last.Flight.ev_node
   | [] -> Alcotest.fail "no events");
   (* Out-of-range nodes and disabled recorders drop silently. *)
-  Flight.record t ~node:9 ~time:0.0 ~kind:0 ~a:0 ~b:0 ~c:0 ~d:0;
+  record t ~node:9 ~time:0.0 ~kind:0 ~a:0 ~b:0 ~c:0 ~d:0;
   Flight.set_enabled t false;
-  Flight.record t ~node:0 ~time:0.0 ~kind:0 ~a:0 ~b:0 ~c:0 ~d:0;
+  record t ~node:0 ~time:0.0 ~kind:0 ~a:0 ~b:0 ~c:0 ~d:0;
   Alcotest.(check int) "disabled drops" 10 (Flight.recorded t ~node:0);
   Flight.set_enabled t true
+
+(* ------------------------------------------------------------------ *)
+(* The subscriber slot *)
+
+let test_subscriber_slot () =
+  let t = Flight.create ~cap:4 ~nodes:2 () in
+  let seen = ref [] in
+  let sub name ~time:_ ~node:_ ~thread ~kind ~a:_ ~b:_ ~c:_ ~d:_ =
+    seen := (name, Flight.kind_names.(kind), thread) :: !seen
+  in
+  let first = Flight.subscribe t (sub "first") in
+  Flight.record t ~node:0 ~time:0.0 ~thread:3 ~kind:Flight.k_create ~a:0 ~b:0
+    ~c:0 ~d:0;
+  Flight.record t ~node:0 ~time:0.0 ~thread:3 ~kind:Flight.k_cache_hit ~a:0
+    ~b:0 ~c:0 ~d:0;
+  Alcotest.(check int) "subscriber-only kinds stay out of the ring" 1
+    (Flight.recorded t ~node:0);
+  Flight.set_enabled t false;
+  record t ~node:1 ~time:0.0 ~kind:Flight.k_fab_read ~a:0 ~b:0 ~c:0 ~d:0;
+  Flight.set_enabled t true;
+  Alcotest.(check int) "a disabled ring stores nothing" 0
+    (Flight.recorded t ~node:1);
+  (* The last subscriber wins; a stale token unsubscribes nothing. *)
+  let second = Flight.subscribe t (sub "second") in
+  Flight.unsubscribe t first;
+  record t ~node:1 ~time:0.0 ~kind:Flight.k_drop ~a:0 ~b:0 ~c:0 ~d:0;
+  Flight.unsubscribe t second;
+  record t ~node:1 ~time:0.0 ~kind:Flight.k_drop ~a:0 ~b:0 ~c:0 ~d:0;
+  Alcotest.(check (list (triple string string int)))
+    "every event reaches the current subscriber, enabled or not"
+    [
+      ("first", "create", 3);
+      ("first", "cache_hit", 3);
+      ("first", "fab_read", -1);
+      ("second", "drop", -1);
+    ]
+    (List.rev !seen)
+
+(* Every fabric counter, cache.hits and cache.inserts must equal the
+   number of events of its kind: the counters and the event schema
+   describe the same hook sites.  The workload covers reads, writes,
+   moves, Darc, Dmutex, remote allocation and the failure paths. *)
+let test_counters_agree_with_kinds () =
+  let counts = Array.make (Array.length Flight.kind_names) 0 in
+  let totals =
+    in_cluster (fun cluster ->
+        ignore
+          (Flight.subscribe (Cluster.flight cluster)
+             (fun ~time:_ ~node:_ ~thread:_ ~kind ~a:_ ~b:_ ~c:_ ~d:_ ->
+               counts.(kind) <- counts.(kind) + 1));
+        let ctx0 = Ctx.make cluster ~node:0 in
+        let ctx1 = Ctx.make cluster ~node:1 in
+        (* reads: local, remote fetch, cache hit *)
+        let o = P.create_on ctx0 ~node:0 ~size:64 (pack 1) in
+        ignore (P.owner_read ctx0 o);
+        let r1 = P.borrow_imm ctx1 o in
+        let r2 = P.borrow_imm ctx1 o in
+        ignore (P.imm_deref ctx1 r1);
+        ignore (P.imm_deref ctx1 r2);
+        P.drop_imm ctx1 r1;
+        P.drop_imm ctx1 r2;
+        (* writes: a remote write moves, a local one bumps the color *)
+        P.owner_write ctx1 o (pack 2);
+        P.owner_write ctx0 o (pack 3);
+        P.drop_owner ctx0 o;
+        (* remote allocation and free *)
+        P.drop_owner ctx0 (P.create_on ctx0 ~node:2 ~size:64 (pack 0));
+        (* Darc: remote clone (atomic), remote get (fetch, then hit) *)
+        let a = Darc.create ctx0 ~size:32 (pack 7) in
+        let b = Darc.clone ctx1 a in
+        ignore (Darc.get ctx1 b);
+        ignore (Darc.get ctx1 b);
+        Darc.drop ctx1 b;
+        Darc.drop ctx0 a;
+        (* Dmutex from a remote node: CAS atomics, WRITE release *)
+        let mu = Dmutex.create ctx0 ~size:16 (pack 0) in
+        Dmutex.with_lock ctx1 mu (fun v -> (v, ()));
+        (* failure paths: a stale-epoch NAK, then drops, timeouts and a
+           retry against a partitioned node *)
+        let fab = Cluster.fabric cluster in
+        Fabric.set_epoch_source fab (Some (fun () -> 5));
+        (try Fabric.rdma_read ~epoch:1 fab ~from:0 ~target:1 ~bytes:8
+         with Fabric.Stale_epoch _ -> ());
+        Fabric.set_epoch_source fab None;
+        let plan =
+          Fault.create ~engine:(Cluster.engine cluster)
+            ~rng:(Drust_util.Rng.create ~seed:7) ~nodes:4 ()
+        in
+        let now = Cluster.now cluster in
+        Fault.partition_at plan ~group:[ 3 ] ~at:now ~heal_at:(now +. 1.0);
+        Fabric.set_fault_plan fab plan;
+        (try
+           Fabric.retry_with_backoff fab ~from:0 ~attempts:2 (fun () ->
+               Fabric.rpc_with_timeout fab ~from:0 ~target:3 ~req_bytes:8
+                 ~resp_bytes:8 ~timeout:1e-4 (fun () -> ()))
+         with Fabric.Rpc_timeout _ -> ());
+        Metrics.snapshot (Cluster.metrics cluster))
+  in
+  let n k = counts.(k) in
+  List.iter
+    (fun (name, events) ->
+      Alcotest.(check bool) (name ^ " exercised") true (events > 0);
+      Alcotest.(check int) (name ^ " = its events") events
+        (Metrics.total totals name))
+    [
+      ("fabric.reads", n Flight.k_fab_read);
+      ("fabric.writes", n Flight.k_fab_write);
+      ("fabric.atomics", n Flight.k_fab_atomic);
+      ("fabric.rpcs", n Flight.k_fab_rpc + n Flight.k_fab_send);
+      ("fabric.timeouts", n Flight.k_fab_timeout);
+      ("fabric.retries", n Flight.k_fab_retry);
+      ("fabric.drops", n Flight.k_fab_drop);
+      ("fabric.stale_epochs", n Flight.k_fab_stale_epoch);
+      ("cache.hits", n Flight.k_cache_hit);
+      ("cache.inserts", n Flight.k_cache_insert);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Dump codec *)
@@ -118,13 +245,13 @@ let test_ring_wraps_and_merges () =
 let test_dump_roundtrip () =
   let t = Flight.create ~cap:8 ~nodes:3 () in
   Flight.set_label t "codec-test";
-  Flight.record t ~node:0 ~time:1.25e-6 ~kind:Flight.k_create ~a:4096 ~b:0
+  record t ~node:0 ~time:1.25e-6 ~kind:Flight.k_create ~a:4096 ~b:0
     ~c:0 ~d:64;
-  Flight.record t ~node:2 ~time:2.5e-6 ~kind:Flight.k_read_fetch ~a:4096
+  record t ~node:2 ~time:2.5e-6 ~kind:Flight.k_read_fetch ~a:4096
     ~b:0 ~c:0 ~d:0;
-  Flight.record t ~node:0 ~time:3.75e-6 ~kind:Flight.k_write_bump ~a:4096
+  record t ~node:0 ~time:3.75e-6 ~kind:Flight.k_write_bump ~a:4096
     ~b:4096 ~c:1 ~d:0;
-  Flight.record t ~node:1 ~time:4.0e-6 ~kind:Flight.k_fab_timeout ~a:2 ~b:0
+  record t ~node:1 ~time:4.0e-6 ~kind:Flight.k_fab_timeout ~a:2 ~b:0
     ~c:0 ~d:0;
   let d = Flight.dump t ~reason:"unit test" ~object_:4096 ~now:5.0e-6 () in
   Alcotest.(check int) "slice keeps only object events" 3
@@ -150,20 +277,20 @@ let test_dump_roundtrip () =
 let test_explain_object_timeline () =
   let t = Flight.create ~cap:64 ~nodes:4 () in
   let phys = 8192 in
-  Flight.record t ~node:0 ~time:0.0 ~kind:Flight.k_create ~a:phys ~b:0 ~c:0
+  record t ~node:0 ~time:0.0 ~kind:Flight.k_create ~a:phys ~b:0 ~c:0
     ~d:64;
   (* node 2 fetches a copy under color 0 *)
-  Flight.record t ~node:2 ~time:1e-6 ~kind:Flight.k_read_fetch ~a:phys ~b:0
+  record t ~node:2 ~time:1e-6 ~kind:Flight.k_read_fetch ~a:phys ~b:0
     ~c:0 ~d:0;
   (* unrelated object: must not show up in the slice *)
-  Flight.record t ~node:3 ~time:1.5e-6 ~kind:Flight.k_read_local ~a:12288
+  record t ~node:3 ~time:1.5e-6 ~kind:Flight.k_read_local ~a:12288
     ~b:3 ~c:0 ~d:0;
   (* the owner writes: color bump strands node 2's copy *)
-  Flight.record t ~node:0 ~time:2e-6 ~kind:Flight.k_write_bump ~a:phys
+  record t ~node:0 ~time:2e-6 ~kind:Flight.k_write_bump ~a:phys
     ~b:phys ~c:1 ~d:0;
-  Flight.record t ~node:0 ~time:3e-6 ~kind:Flight.k_transfer ~a:phys ~b:3
+  record t ~node:0 ~time:3e-6 ~kind:Flight.k_transfer ~a:phys ~b:3
     ~d:0 ~c:0;
-  Flight.record t ~node:2 ~time:4e-6 ~kind:Flight.k_dsan_violation ~a:phys
+  record t ~node:2 ~time:4e-6 ~kind:Flight.k_dsan_violation ~a:phys
     ~b:1 ~c:0 ~d:0;
   let lines = Flight.explain_object ~object_:phys (Flight.events t) in
   check_line "creation" ~affix:"create" lines;
@@ -188,7 +315,7 @@ let test_guard_dumps_and_reraises () =
   in_temp_dump_dir (fun _dir ->
       let t = Flight.create ~nodes:2 () in
       Flight.set_label t "guard-test";
-      Flight.record t ~node:0 ~time:1.0 ~kind:Flight.k_view_change ~a:1 ~b:0
+      record t ~node:0 ~time:1.0 ~kind:Flight.k_view_change ~a:1 ~b:0
         ~c:0 ~d:0;
       let raised =
         try
@@ -275,17 +402,18 @@ let test_seeded_violation_dump_explains_object () =
             Fun.protect
               ~finally:(fun () -> Dsan.detach t)
               (fun () ->
-                let g0 = Gaddr.clear_color g in
-                let g1 = Gaddr.bump_color g0 in
-                Dsan.observe_protocol t ~time:1e-5 ~node:0 ~thread:0
-                  (P.Ev_create { g = g0; size = 64 });
-                Dsan.observe_cache t ~time:1.1e-5 ~node:1
-                  (Cache.Insert { key = g0; size = 64 });
-                Dsan.observe_protocol t ~time:1.2e-5 ~node:0 ~thread:0
-                  (P.Ev_write
-                     { before = g0; after = g1; size = 64; kind = P.W_bump });
-                Dsan.observe_protocol t ~time:1.3e-5 ~node:1 ~thread:2
-                  (P.Ev_read { g = g1; path = P.Path_cache g0 });
+                let ev ~time ~node ~thread kind ~b ~c ~d =
+                  Dsan.observe t ~time ~node ~thread ~kind ~a:phys ~b ~c ~d
+                in
+                ev ~time:1e-5 ~node:0 ~thread:0 Flight.k_create ~b:0 ~c:0
+                  ~d:64;
+                ev ~time:1.1e-5 ~node:1 ~thread:(-1) Flight.k_cache_insert
+                  ~b:0 ~c:0 ~d:64;
+                ev ~time:1.2e-5 ~node:0 ~thread:0 Flight.k_write_bump ~b:phys
+                  ~c:1 ~d:0;
+                (* a read served from the copy cached under color 0 *)
+                ev ~time:1.3e-5 ~node:1 ~thread:2 Flight.k_read_cached ~b:0
+                  ~c:1 ~d:0;
                 Alcotest.(check bool) "sanitizer flagged the injection"
                   true
                   (Dsan.violations t <> []));
@@ -329,6 +457,13 @@ let () =
         [
           Alcotest.test_case "wraps and merges" `Quick
             test_ring_wraps_and_merges;
+        ] );
+      ( "subscriber",
+        [
+          Alcotest.test_case "one slot, fed every event" `Quick
+            test_subscriber_slot;
+          Alcotest.test_case "counters agree with event kinds" `Quick
+            test_counters_agree_with_kinds;
         ] );
       ( "codec",
         [ Alcotest.test_case "dump roundtrip" `Quick test_dump_roundtrip ] );

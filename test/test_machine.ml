@@ -250,9 +250,9 @@ let test_env_isolated_per_cluster () =
 let populate weaks i =
   let c = Cluster.create (small 2) in
   P.set_always_move c false;
-  P.set_probe c (Some (fun _ _ -> ()));
-  Drust_runtime.Darc.set_listener c (Some (fun _ _ -> ()));
-  Drust_runtime.Dmutex.set_listener c (Some (fun _ _ -> ()));
+  ignore
+    (Drust_obs.Flight.subscribe (Cluster.flight c)
+       (fun ~time:_ ~node:_ ~thread:_ ~kind:_ ~a:_ ~b:_ ~c:_ ~d:_ -> ()));
   ignore (Dthread.migration_latency_stats c);
   let r =
     Drust_appkit.Appkit.run_main c (fun ctx ->

@@ -286,11 +286,13 @@ let injected_reports () =
   Fun.protect
     ~finally:(fun () -> Dsan.detach t)
     (fun () ->
-      let g = Gaddr.make ~node:1 ~offset:4096 in
-      Dsan.observe_protocol t ~time:0.0 ~node:1 ~thread:0
-        (P.Ev_create { g; size = 64 });
-      Dsan.observe_protocol t ~time:2e-6 ~node:2 ~thread:1
-        (P.Ev_create { g; size = 64 });
+      let g = Gaddr.to_int (Gaddr.make ~node:1 ~offset:4096) in
+      let create ~time ~node ~thread =
+        Dsan.observe t ~time ~node ~thread ~kind:Drust_obs.Flight.k_create
+          ~a:g ~b:1 ~c:0 ~d:64
+      in
+      create ~time:0.0 ~node:1 ~thread:0;
+      create ~time:2e-6 ~node:2 ~thread:1;
       List.map Dsan.report_to_string (Dsan.violations t))
 
 let has_partition (p : Simplan.t) =

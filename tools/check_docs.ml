@@ -1,5 +1,5 @@
 (* Documentation consistency checker, run by the @docs alias (a dep of
-   @runtest, so stale docs fail the build).  Five checks:
+   @runtest, so stale docs fail the build).  Ten checks:
 
    1. every relative .md link in docs/README.md (the index) resolves,
       and every docs/*.md file is reachable from the index;
@@ -28,7 +28,10 @@
       the table's rows open with exists in the codec;
    9. the flight-dump schema tables in docs/FORENSICS.md and the codec
       ([Flight.field_names]) agree in both directions, and the doc
-      names the dump schema tag ([Flight.schema]). *)
+      names the dump schema tag ([Flight.schema]);
+  10. the event-kind table in docs/FORENSICS.md and the kind table
+      ([Flight.kind_names]) agree in both directions, code by code, and
+      each row's ring column matches [Flight.ring_kinds]. *)
 
 let errors = ref []
 let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt
@@ -380,6 +383,54 @@ let check_flight_schema () =
     with Not_found -> err "%s does not name the dump schema %S" doc tag
   end
 
+(* --- 10: the event-kind table ---------------------------------------- *)
+
+(* A kind-table row opens with the code and the backtick-quoted kind
+   name, then the ring column ("| 9 | `create` | yes | ..."). *)
+let kind_row_re =
+  Str.regexp {re|^| \([0-9]+\) | `\([a-z0-9_]+\)` | \([a-z]+\) ||re}
+
+let check_kind_table () =
+  let doc = "docs/FORENSICS.md" in
+  if Sys.file_exists doc then begin
+    let text = read_file doc in
+    let names = Drust_obs.Flight.kind_names in
+    let rows = ref [] in
+    let pos = ref 0 in
+    (try
+       while true do
+         pos := Str.search_forward kind_row_re text !pos + 1;
+         rows :=
+           ( int_of_string (Str.matched_group 1 text),
+             Str.matched_group 2 text,
+             Str.matched_group 3 text )
+           :: !rows
+       done
+     with Not_found -> ());
+    (* Forward: every kind has a row under its code. *)
+    Array.iteri
+      (fun code name ->
+        if not (List.exists (fun (c, n, _) -> c = code && n = name) !rows) then
+          err "event kind %d (%s) has no row in the kind table of %s" code
+            name doc)
+      names;
+    (* Reverse: every row names a real kind under its code, and says
+       whether the ring keeps it. *)
+    List.iter
+      (fun (code, name, ring) ->
+        if code >= Array.length names || names.(code) <> name then
+          err "%s lists kind %d as %s, which Flight.kind_names does not" doc
+            code name
+        else
+          let kept = code < Drust_obs.Flight.ring_kinds in
+          if ring <> (if kept then "yes" else "no") then
+            err "%s says the ring %s kind %s, but it %s" doc
+              (if ring = "yes" then "keeps" else "drops")
+              name
+              (if kept then "does" else "does not"))
+      (List.rev !rows)
+  end
+
 let () =
   check_index ();
   List.iter
@@ -393,6 +444,7 @@ let () =
   check_lint_catalogue ();
   check_simplan_schema ();
   check_flight_schema ();
+  check_kind_table ();
   match List.rev !errors with
   | [] -> print_endline "docs check: OK"
   | msgs ->
