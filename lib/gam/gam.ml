@@ -183,27 +183,42 @@ let state_ref t b =
 
 let distinct (l : int list) = List.sort_uniq Int.compare l
 
+(* The home's side of a directory round, on one of its directory
+   engines: plain acquire/release (released on exception, like
+   [Resource.use]) so the round builds no closure beyond the RPC
+   handler. *)
+let directory_work t ~home ~nblocks ~third_parties ~third_bytes =
+  let engine = Cluster.engine t.cluster in
+  let dir = t.dir_units.(home) in
+  Resource.acquire dir;
+  match
+    let c = t.costs in
+    Engine.delay engine
+      (c.dir_proc +. (c.dir_per_block *. Float.of_int (max 0 (nblocks - 1))));
+    match third_parties with
+    | [] -> ()
+    | first :: rest ->
+        let extra = List.length rest in
+        t.invs <- t.invs + 1 + extra;
+        Fabric.rpc (Cluster.fabric t.cluster) ~from:home ~target:first
+          ~req_bytes:64 ~resp_bytes:third_bytes ignore;
+        for _ = 1 to extra do
+          Engine.delay engine c.inv_extra
+        done
+  with
+  | () -> Resource.release dir
+  | exception e ->
+      Resource.release dir;
+      raise e
+
 (* One home-directory round trip serving [nblocks] block requests and
    contacting [third_parties] (exclusive holders to downgrade, or sharers
    to invalidate). *)
 let directory_round t ctx ~home ~resp_bytes ~nblocks ~third_parties ~third_bytes =
-  let fabric = Cluster.fabric t.cluster in
   Ctx.flush ctx;
-  Fabric.rpc fabric ~from:ctx.Ctx.node ~target:home ~req_bytes:64 ~resp_bytes
-    (fun () ->
-      Resource.use t.dir_units.(home) (fun () ->
-          let c = t.costs in
-          Engine.delay (Cluster.engine t.cluster)
-            (c.dir_proc +. (c.dir_per_block *. Float.of_int (max 0 (nblocks - 1))));
-          match third_parties with
-          | [] -> ()
-          | first :: rest ->
-              t.invs <- t.invs + 1 + List.length rest;
-              Fabric.rpc fabric ~from:home ~target:first ~req_bytes:64
-                ~resp_bytes:third_bytes (fun () -> ());
-              List.iter
-                (fun _ -> Engine.delay (Cluster.engine t.cluster) t.costs.inv_extra)
-                rest));
+  Fabric.rpc (Cluster.fabric t.cluster) ~from:ctx.Ctx.node ~target:home
+    ~req_bytes:64 ~resp_bytes (fun () ->
+      directory_work t ~home ~nblocks ~third_parties ~third_bytes);
   (* Requester-side protocol bookkeeping (state tracking of the copies). *)
   Engine.delay (Cluster.engine t.cluster) t.costs.requester_proc
 

@@ -61,43 +61,59 @@ let create ?(costs = default_costs) cluster =
     count = 0;
   }
 
+(* Release [r] and re-raise [e]: the exception arm of [Resource.use],
+   for code that holds a unit with plain acquire/release so it builds no
+   closure. *)
+let release_raise r e =
+  Resource.release r;
+  raise e
+
+let compute t cycles =
+  Engine.delay (Cluster.engine t.cluster)
+    (Drust_machine.Params.cycles_to_seconds (Cluster.params t.cluster) cycles)
+
+(* The delegated work on one of the home node's worker cores. *)
+let run_at_home t ~home ~extra_cycles f =
+  let worker = t.workers.(home) in
+  Resource.acquire worker;
+  match
+    compute t (t.costs.delegate_cycles +. extra_cycles);
+    f ()
+  with
+  | v ->
+      Resource.release worker;
+      v
+  | exception e -> release_raise worker e
+
+let aggregation_wait t src dst =
+  let now = Engine.now (Cluster.engine t.cluster) in
+  let gap = now -. t.last_send.(src).(dst) in
+  t.last_send.(src).(dst) <- now;
+  t.gap_ewma.(src).(dst) <- (0.8 *. t.gap_ewma.(src).(dst)) +. (0.2 *. gap);
+  Float.min t.costs.aggregation_delay
+    (Float.max 1e-6 (2.0 *. t.gap_ewma.(src).(dst)))
+
 let delegate t ctx ~home ~req_bytes ~resp_bytes ~extra_cycles f =
   t.count <- t.count + 1;
   let engine = Cluster.engine t.cluster in
-  let params = Cluster.params t.cluster in
-  let run_at_home () =
-    Resource.use t.workers.(home) (fun () ->
-        Engine.delay engine
-          (Drust_machine.Params.cycles_to_seconds params
-             (t.costs.delegate_cycles +. extra_cycles));
-        f ())
-  in
-  let aggregation_wait src dst =
-    let now = Engine.now engine in
-    let gap = now -. t.last_send.(src).(dst) in
-    t.last_send.(src).(dst) <- now;
-    t.gap_ewma.(src).(dst) <- (0.8 *. t.gap_ewma.(src).(dst)) +. (0.2 *. gap);
-    Float.min t.costs.aggregation_delay
-      (Float.max 1e-6 (2.0 *. t.gap_ewma.(src).(dst)))
-  in
   if home = ctx.Ctx.node then begin
     (* Local delegation skips the network but still hops through the
        delegation queue. *)
     Ctx.flush ctx;
     Engine.delay engine t.costs.local_overhead;
-    run_at_home ()
+    run_at_home t ~home ~extra_cycles f
   end
   else begin
     Ctx.note_remote_access ctx ~target:home;
     Ctx.flush ctx;
     (* Sender-side aggregation batches small messages... *)
-    Engine.delay engine (aggregation_wait ctx.Ctx.node home);
+    Engine.delay engine (aggregation_wait t ctx.Ctx.node home);
     let v =
       Fabric.rpc (Cluster.fabric t.cluster) ~from:ctx.Ctx.node ~target:home
-        ~req_bytes ~resp_bytes run_at_home
+        ~req_bytes ~resp_bytes (fun () -> run_at_home t ~home ~extra_cycles f)
     in
     (* ...and so does the reply path. *)
-    Engine.delay engine (aggregation_wait home ctx.Ctx.node);
+    Engine.delay engine (aggregation_wait t home ctx.Ctx.node);
     v
   end
 
@@ -125,10 +141,55 @@ let get_value t h =
   | Some v -> v
   | None -> invalid_arg "Grappa: freed object"
 
+(* Home-side bodies of the serialized accesses: each holds the object's
+   unit for its whole body, released on exception like [Resource.use]. *)
+let hold t h =
+  let u = object_unit t h.oid in
+  Resource.acquire u;
+  u
+
+let read_at_home t h =
+  let u = hold t h in
+  match get_value t h with
+  | v ->
+      Resource.release u;
+      v
+  | exception e -> release_raise u e
+
+let process_at_home t h cycles =
+  let u = hold t h in
+  match
+    compute t cycles;
+    get_value t h
+  with
+  | v ->
+      Resource.release u;
+      v
+  | exception e -> release_raise u e
+
+let write_at_home t h v =
+  let u = hold t h in
+  Hashtbl.replace t.store h.oid v;
+  Resource.release u
+
+let update_at_home t h f =
+  let u = hold t h in
+  match Hashtbl.replace t.store h.oid (f (get_value t h)) with
+  | () -> Resource.release u
+  | exception e -> release_raise u e
+
+let process_update_at_home t h cycles f =
+  let u = hold t h in
+  match
+    compute t cycles;
+    Hashtbl.replace t.store h.oid (f (get_value t h))
+  with
+  | () -> Resource.release u
+  | exception e -> release_raise u e
+
 let read t ctx h =
   delegate t ctx ~home:h.obj_home ~req_bytes:64 ~resp_bytes:h.size
-    ~extra_cycles:0.0 (fun () ->
-      Resource.use (object_unit t h.oid) (fun () -> get_value t h))
+    ~extra_cycles:0.0 (fun () -> read_at_home t h)
 
 (* Compute ships to the data: the work runs on the home's delegation
    worker, serialized per object — a hot object's home core becomes the
@@ -138,34 +199,20 @@ let read_part t ctx h ~bytes =
     ~extra_cycles:0.0 (fun () -> ignore (get_value t h))
 
 let process t ctx h ~cycles =
-  let params = Cluster.params t.cluster in
   delegate t ctx ~home:h.obj_home ~req_bytes:64 ~resp_bytes:(min h.size 512)
-    ~extra_cycles:0.0 (fun () ->
-      Resource.use (object_unit t h.oid) (fun () ->
-          Engine.delay (Cluster.engine t.cluster)
-            (Drust_machine.Params.cycles_to_seconds params cycles);
-          get_value t h))
+    ~extra_cycles:0.0 (fun () -> process_at_home t h cycles)
 
 let process_update t ctx h ~cycles f =
-  let params = Cluster.params t.cluster in
   delegate t ctx ~home:h.obj_home ~req_bytes:96 ~resp_bytes:8 ~extra_cycles:0.0
-    (fun () ->
-      Resource.use (object_unit t h.oid) (fun () ->
-          Engine.delay (Cluster.engine t.cluster)
-            (Drust_machine.Params.cycles_to_seconds params cycles);
-          Hashtbl.replace t.store h.oid (f (get_value t h))))
+    (fun () -> process_update_at_home t h cycles f)
 
 let write t ctx h v =
   delegate t ctx ~home:h.obj_home ~req_bytes:(64 + h.size) ~resp_bytes:8
-    ~extra_cycles:0.0 (fun () ->
-      Resource.use (object_unit t h.oid) (fun () ->
-          Hashtbl.replace t.store h.oid v))
+    ~extra_cycles:0.0 (fun () -> write_at_home t h v)
 
 let update t ctx h f =
   delegate t ctx ~home:h.obj_home ~req_bytes:96 ~resp_bytes:8 ~extra_cycles:0.0
-    (fun () ->
-      Resource.use (object_unit t h.oid) (fun () ->
-          Hashtbl.replace t.store h.oid (f (get_value t h))))
+    (fun () -> update_at_home t h f)
 
 let free t ctx h =
   Ctx.charge_cycles ctx 60.0;

@@ -73,7 +73,13 @@ let flush t =
             ~category:"cpu.compute" "compute" (fun () ->
               Engine.delay (engine t) seconds))
     end
-    else Resource.use cores (fun () -> Engine.delay (engine t) seconds)
+    else begin
+      (* [Resource.use] without its closure: a positive delay cannot
+         raise, so there is no release-on-exception path to keep. *)
+      Resource.acquire cores;
+      Engine.delay (engine t) seconds;
+      Resource.release cores
+    end
   end
 
 let charge_cycles t cycles =

@@ -190,35 +190,37 @@ let serve_mark vt ~target name =
       Span.instant vt_sp ~track:target ~parent:vt_span ~flow_in
         ~category:"fabric" name
 
+(* The span tracer when tracing is on.  Untraced verbs call their body
+   directly with [vt = None], so they build no closure for it. *)
+let tracer t =
+  match t.spans with Some sp when Span.is_enabled sp -> t.spans | _ -> None
+
 (* Complete span covering a blocking verb's latency.  [f] receives the
-   live trace context (None when tracing is off) so it can hang
-   wire/queue sub-spans and target-side marks off the verb span. *)
-let with_verb_span t verb ~from ~target ~bytes ?parent f =
-  match t.spans with
-  | Some sp when Span.is_enabled sp ->
-      let vs =
-        Span.start sp ~track:from ~category:"fabric" ?parent
-          ~args:
-            [ ("target", string_of_int target); ("bytes", string_of_int bytes) ]
-          verb
-      in
-      let fid =
-        if from = target then 0
-        else begin
-          let fid = Span.fresh_flow_id sp in
-          Span.add_flow_out vs fid;
-          fid
-        end
-      in
-      let vt = Some { vt_sp = sp; vt_span = vs; vt_flow = fid } in
-      (match f vt with
-      | v ->
-          Span.finish sp vs;
-          v
-      | exception e ->
-          Span.finish sp vs;
-          raise e)
-  | _ -> f None
+   live trace context so it can hang wire/queue sub-spans and
+   target-side marks off the verb span. *)
+let with_verb_span sp verb ~from ~target ~bytes ?parent f =
+  let vs =
+    Span.start sp ~track:from ~category:"fabric" ?parent
+      ~args:
+        [ ("target", string_of_int target); ("bytes", string_of_int bytes) ]
+      verb
+  in
+  let fid =
+    if from = target then 0
+    else begin
+      let fid = Span.fresh_flow_id sp in
+      Span.add_flow_out vs fid;
+      fid
+    end
+  in
+  let vt = Some { vt_sp = sp; vt_span = vs; vt_flow = fid } in
+  match f vt with
+  | v ->
+      Span.finish sp vs;
+      v
+  | exception e ->
+      Span.finish sp vs;
+      raise e
 
 let engine t = t.engine
 let node_count t = t.nodes
@@ -234,7 +236,7 @@ let check_node t n label =
 
 (* Park the calling process forever: the registration function discards
    the resumer, so the continuation is never scheduled. *)
-let blackhole () : unit = Engine.suspend (fun _resume -> ())
+let blackhole t : unit = Engine.suspend t.engine (fun _resume -> ())
 
 (* Synchronous verbs: a dead source kills the issuing thread's op
    outright; a dead target costs the transport's retry period and then
@@ -254,7 +256,7 @@ let sync_guard t ~from ~target =
           Metrics.incr t.counters.(from).c_drops;
           mark t "DROP" ~from ~target ~bytes:0;
           fr t ~from ~kind:Flight.k_fab_drop ~a:target ~b:0 ~c:0;
-          blackhole ()
+          blackhole t
         end
       end
 
@@ -339,8 +341,12 @@ let delay_with_nic ~vt t ~data_source ~from ~target ~base ~bytes =
               "serialize" (fun () -> Engine.delay t.engine (jittered t wire)))
     | None ->
         Engine.delay t.engine (latency t ~from ~target ~base ~bytes:0);
-        Drust_sim.Resource.use t.nics.(data_source) (fun () ->
-            Engine.delay t.engine (jittered t wire))
+        (* [Resource.use] without its closure: the delay cannot raise.
+           The jitter is drawn after the NIC is granted, as traced. *)
+        let nic = t.nics.(data_source) in
+        Drust_sim.Resource.acquire nic;
+        Engine.delay t.engine (jittered t wire);
+        Drust_sim.Resource.release nic
   end
   else
     match vt with
@@ -355,6 +361,38 @@ let note t ~from ~target ~bytes =
   Metrics.add c.c_bytes_out bytes;
   if from <> target then Metrics.incr c.c_remote_ops
 
+(* The body of each blocking verb, traced or not.  READ pulls data out of
+   the target (the target's NIC is the egress); WRITE and an RPC's
+   request push it from the sender. *)
+let oneside_body t ~data_source ~served ~from ~target ~bytes epoch vt =
+  delay_with_nic ~vt t ~data_source ~from ~target
+    ~base:t.model.Model.oneside_base ~bytes;
+  check_epoch t ~from ~target epoch;
+  if from <> target then serve_mark vt ~target served
+
+let atomic_body t ~from ~target f vt =
+  (match vt with
+  | Some { vt_sp = sp; vt_span = parent; _ } ->
+      Span.with_span sp ~track:from ~parent ~category:"net.wire" "wire"
+        (fun () ->
+          Engine.delay t.engine
+            (latency t ~from ~target ~base:t.model.Model.atomic_base ~bytes:0))
+  | None ->
+      Engine.delay t.engine
+        (latency t ~from ~target ~base:t.model.Model.atomic_base ~bytes:0));
+  if from <> target then serve_mark vt ~target "SERVE(ATOMIC)";
+  f ()
+
+let rpc_body t ~from ~target ~req_bytes ~resp_bytes epoch handler vt =
+  delay_with_nic ~vt t ~data_source:from ~from ~target
+    ~base:t.model.Model.twoside_base ~bytes:req_bytes;
+  check_epoch t ~from ~target epoch;
+  if from <> target then serve_mark vt ~target "RECV(RPC)";
+  let result = handler () in
+  delay_with_nic ~vt t ~data_source:target ~from ~target
+    ~base:t.model.Model.twoside_base ~bytes:resp_bytes;
+  result
+
 let rdma_read ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_read";
   check_node t target "rdma_read";
@@ -362,12 +400,14 @@ let rdma_read ?parent ?epoch t ~from ~target ~bytes =
   note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_read ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
-  (* READ pulls data out of the target: the target's NIC is the egress. *)
-  with_verb_span t "READ" ~from ~target ~bytes ?parent (fun vt ->
-      delay_with_nic ~vt t ~data_source:target ~from ~target
-        ~base:t.model.Model.oneside_base ~bytes;
-      check_epoch t ~from ~target epoch;
-      if from <> target then serve_mark vt ~target "SERVE(READ)")
+  match tracer t with
+  | None ->
+      oneside_body t ~data_source:target ~served:"SERVE(READ)" ~from ~target
+        ~bytes epoch None
+  | Some sp ->
+      with_verb_span sp "READ" ~from ~target ~bytes ?parent
+        (oneside_body t ~data_source:target ~served:"SERVE(READ)" ~from
+           ~target ~bytes epoch)
 
 let rdma_write ?parent ?epoch t ~from ~target ~bytes =
   check_node t from "rdma_write";
@@ -376,12 +416,14 @@ let rdma_write ?parent ?epoch t ~from ~target ~bytes =
   note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(ep epoch);
   sync_guard t ~from ~target;
-  (* WRITE pushes data from the sender: its NIC is the egress. *)
-  with_verb_span t "WRITE" ~from ~target ~bytes ?parent (fun vt ->
-      delay_with_nic ~vt t ~data_source:from ~from ~target
-        ~base:t.model.Model.oneside_base ~bytes;
-      check_epoch t ~from ~target epoch;
-      if from <> target then serve_mark vt ~target "SERVE(WRITE)")
+  match tracer t with
+  | None ->
+      oneside_body t ~data_source:from ~served:"SERVE(WRITE)" ~from ~target
+        ~bytes epoch None
+  | Some sp ->
+      with_verb_span sp "WRITE" ~from ~target ~bytes ?parent
+        (oneside_body t ~data_source:from ~served:"SERVE(WRITE)" ~from
+           ~target ~bytes epoch)
 
 (* ------------------------------------------------------------------ *)
 (* Async delivery batching.                                            *)
@@ -483,19 +525,11 @@ let rdma_atomic ?parent t ~from ~target f =
   note t ~from ~target ~bytes:8;
   fr t ~from ~kind:Flight.k_fab_atomic ~a:target ~b:8 ~c:(-1);
   sync_guard t ~from ~target;
-  with_verb_span t "ATOMIC" ~from ~target ~bytes:8 ?parent (fun vt ->
-      (match vt with
-      | Some { vt_sp = sp; vt_span = parent; _ } ->
-          Span.with_span sp ~track:from ~parent ~category:"net.wire" "wire"
-            (fun () ->
-              Engine.delay t.engine
-                (latency t ~from ~target ~base:t.model.Model.atomic_base
-                   ~bytes:0))
-      | None ->
-          Engine.delay t.engine
-            (latency t ~from ~target ~base:t.model.Model.atomic_base ~bytes:0));
-      if from <> target then serve_mark vt ~target "SERVE(ATOMIC)";
-      f ())
+  match tracer t with
+  | None -> atomic_body t ~from ~target f None
+  | Some sp ->
+      with_verb_span sp "ATOMIC" ~from ~target ~bytes:8 ?parent
+        (atomic_body t ~from ~target f)
 
 let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
   check_node t from "rpc";
@@ -505,16 +539,12 @@ let rpc ?parent ?epoch t ~from ~target ~req_bytes ~resp_bytes handler =
   fr t ~from ~kind:Flight.k_fab_rpc ~a:target ~b:(req_bytes + resp_bytes)
     ~c:(ep epoch);
   sync_guard t ~from ~target;
-  with_verb_span t "RPC" ~from ~target ~bytes:(req_bytes + resp_bytes) ?parent
-    (fun vt ->
-      delay_with_nic ~vt t ~data_source:from ~from ~target
-        ~base:t.model.Model.twoside_base ~bytes:req_bytes;
-      check_epoch t ~from ~target epoch;
-      if from <> target then serve_mark vt ~target "RECV(RPC)";
-      let result = handler () in
-      delay_with_nic ~vt t ~data_source:target ~from ~target
-        ~base:t.model.Model.twoside_base ~bytes:resp_bytes;
-      result)
+  match tracer t with
+  | None -> rpc_body t ~from ~target ~req_bytes ~resp_bytes epoch handler None
+  | Some sp ->
+      with_verb_span sp "RPC" ~from ~target ~bytes:(req_bytes + resp_bytes)
+        ?parent
+        (rpc_body t ~from ~target ~req_bytes ~resp_bytes epoch handler)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded failure semantics: race an operation against a virtual-time
@@ -529,7 +559,7 @@ type 'a raced = Settled of 'a | Crashed of exn | Expired
    side effects still land, like a request the server processed after
    the client gave up), or parks forever if its message was dropped. *)
 let race_against_timer t ~timeout f =
-  Engine.suspend (fun resume ->
+  Engine.suspend t.engine (fun resume ->
       let settled = ref false in
       let settle outcome =
         if not !settled then begin

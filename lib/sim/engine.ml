@@ -1,5 +1,11 @@
 open Effect.Deep
 
+(* What a parking process asks its handler to do with its waker. *)
+type park_request =
+  | At_time  (* push it as an event at [park_time] *)
+  | Into_queue  (* append it to [park_queue] *)
+  | Register  (* pass the process to [park_register] *)
+
 type t = {
   events : (unit -> unit) Drust_util.Pqueue.t;
   mutable clock : float;
@@ -8,6 +14,24 @@ type t = {
   mutable dispatched : int;
       (* logical events run: one per queue pop, plus every callback a
          batched delivery ran without its own queue entry *)
+  (* The request of the park being performed, set just before [Park]. *)
+  mutable park_request : park_request;
+  mutable park_time : float;
+  mutable park_queue : (unit -> unit) Queue.t;
+  mutable park_register : proc -> unit;
+}
+
+(* A process's park record, allocated once in [run_fiber].  Every block
+   parks the process's continuation in [k]; [wake] and [cont] are the
+   preallocated event callbacks that bring it back, so blocking and
+   waking allocate no closures.  [waiting] is the number of the park
+   that is owed a wake (0 when none): it makes every wake one-shot. *)
+and proc = {
+  mutable k : (unit, unit) continuation option;
+  mutable parks : int;
+  mutable waiting : int;
+  wake : unit -> unit;
+  cont : unit -> unit;
 }
 
 type process_state = Running | Finished | Failed of exn
@@ -17,7 +41,9 @@ type process_handle = {
   mutable join_waiters : (unit -> unit) list;
 }
 
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+(* The one effect a blocking process performs.  It is constant, so
+   performing it allocates nothing but the continuation. *)
+type _ Effect.t += Park : unit Effect.t
 
 exception Process_failure of exn
 
@@ -34,6 +60,10 @@ let create () =
     live = 0;
     failures = [];
     dispatched = 0;
+    park_request = At_time;
+    park_time = 0.0;
+    park_queue = Queue.create ();
+    park_register = ignore;
   }
 
 let now t = t.clock
@@ -50,27 +80,83 @@ let pushes t = Drust_util.Pqueue.pushed t.events
 let count_extra_events t n = t.dispatched <- t.dispatched + n
 
 let schedule t ~at f =
-  if at < t.clock then
+  if not (at >= t.clock) then
     invalid_arg
-      (Printf.sprintf "Engine.schedule: at=%g is in the past (now=%g)" at
-         t.clock);
+      (if Float.is_nan at then "Engine.schedule: at is NaN"
+       else
+         Printf.sprintf "Engine.schedule: at=%g is in the past (now=%g)" at
+           t.clock);
   Drust_util.Pqueue.push t.events ~time:at f
 
 let schedule_after t dt f = schedule t ~at:(t.clock +. dt) f
 
-let suspend register = Effect.perform (Suspend register)
+(* ------------------------------------------------------------------ *)
+(* Park and wake.  A blocking primitive states its request in the
+   engine's [park_*] fields and performs [Park]; the handler stores the
+   continuation, arms the process's record and hands its waker to
+   whatever will call it.  The wake pushes [cont] at the current
+   instant, and [cont] continues the process.                          *)
+
+(* The one wake, shared by every primitive: [n] is the park being woken,
+   and a park is woken at most once. *)
+let wake t p n =
+  if n = 0 || n <> p.waiting then failwith "Engine: process resumed twice";
+  p.waiting <- 0;
+  Drust_util.Pqueue.push t.events ~time:t.clock p.cont
+
+let park_until t at =
+  t.park_request <- At_time;
+  t.park_time <- at;
+  Effect.perform Park
+
+let park t waiters =
+  t.park_request <- Into_queue;
+  t.park_queue <- waiters;
+  Effect.perform Park
+
+let suspend t register =
+  let got = ref None in
+  t.park_request <- Register;
+  t.park_register <-
+    (fun p ->
+      let n = p.waiting in
+      register (fun v ->
+          wake t p n;
+          got := Some v));
+  Effect.perform Park;
+  match !got with Some v -> v | None -> assert false
 
 let finish_handle t handle state =
   handle.state <- state;
   let waiters = handle.join_waiters in
   handle.join_waiters <- [];
-  List.iter (fun resume -> schedule t ~at:t.clock resume) (List.rev waiters)
+  List.iter (fun wake -> schedule t ~at:t.clock wake) (List.rev waiters)
 
-(* Run a process body under the engine's deep effect handler.  A [Suspend]
-   effect hands the one-shot resumer to the registration function; resuming
-   trampolines through the event queue so process steps never nest. *)
+(* Run a process body under the engine's deep effect handler. *)
 let run_fiber t handle body =
   t.live <- t.live + 1;
+  let rec p =
+    {
+      k = None;
+      parks = 0;
+      waiting = 0;
+      wake = (fun () -> wake t p p.waiting);
+      cont =
+        (fun () ->
+          match p.k with Some k -> continue k () | None -> assert false);
+    }
+  in
+  let on_park =
+    Some
+      (fun k ->
+        p.k <- Some k;
+        p.parks <- p.parks + 1;
+        p.waiting <- p.parks;
+        match t.park_request with
+        | At_time -> Drust_util.Pqueue.push t.events ~time:t.park_time p.wake
+        | Into_queue -> Queue.push p.wake t.park_queue
+        | Register -> t.park_register p)
+  in
   let handler : (unit, unit) handler =
     {
       retc =
@@ -85,17 +171,7 @@ let run_fiber t handle body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
-                  let resume v =
-                    if !resumed then
-                      failwith "Engine: process resumed twice";
-                    resumed := true;
-                    schedule t ~at:t.clock (fun () -> continue k v)
-                  in
-                  register resume)
+          | Park -> (on_park : ((a, unit) continuation -> unit) option)
           | _ -> None);
     }
   in
@@ -116,18 +192,24 @@ let start_process t body =
   let handle = { state = Running; join_waiters = [] } in
   run_fiber t handle body
 
+(* [delay] and [yield] push the waker as its own event, which then
+   pushes [cont]: two events per call, as the process sees one timer
+   fire and then resumes. *)
 let delay t dt =
-  if dt < 0.0 then invalid_arg "Engine.delay: negative delay";
-  suspend (fun resume -> schedule t ~at:(t.clock +. dt) (fun () -> resume ()))
+  if not (dt >= 0.0) then
+    invalid_arg
+      (if Float.is_nan dt then "Engine.delay: NaN delay"
+       else "Engine.delay: negative delay");
+  park_until t (t.clock +. dt)
 
-let yield t = suspend (fun resume -> schedule t ~at:t.clock (fun () -> resume ()))
+let yield t = park_until t t.clock
 
-let join _t handle =
+let join t handle =
   (match handle.state with
   | Finished | Failed _ -> ()
   | Running ->
-      suspend (fun resume ->
-          handle.join_waiters <- (fun () -> resume ()) :: handle.join_waiters));
+      suspend t (fun resume ->
+          handle.join_waiters <- resume :: handle.join_waiters));
   match handle.state with
   | Failed e -> raise (Process_failure e)
   | Finished -> ()

@@ -23,8 +23,8 @@ val now : t -> float
 (** Current virtual time in seconds. *)
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
-(** [schedule t ~at f] runs callback [f] at virtual time [at].  [at] must
-    not be in the past. *)
+(** [schedule t ~at f] runs callback [f] at virtual time [at].  Raises
+    [Invalid_argument] when [at] is in the past or NaN. *)
 
 val schedule_after : t -> float -> (unit -> unit) -> unit
 (** [schedule_after t dt f] is [schedule t ~at:(now t +. dt) f]. *)
@@ -40,16 +40,29 @@ val start_process : t -> (unit -> unit) -> unit
     Used by callers (the fabric's delivery batching) that manage their
     own scheduling and don't need the join handle. *)
 
-(** {1 Blocking primitives — only valid inside a process} *)
+(** {1 Blocking primitives — only valid inside a process}
+
+    Called outside a process, they raise [Effect.Unhandled]. *)
 
 val delay : t -> float -> unit
-(** [delay t dt] suspends the calling process for [dt] simulated seconds. *)
+(** [delay t dt] suspends the calling process for [dt] simulated seconds.
+    Raises [Invalid_argument] when [dt] is negative or NaN; an infinite
+    [dt] parks the process forever. *)
 
-val suspend : (('a -> unit) -> unit) -> 'a
-(** [suspend register] parks the calling process.  [register] receives a
-    one-shot [resume] function; calling [resume v] (from any other process
-    or callback) schedules the parked process to continue with value [v] at
-    the current virtual time.  Raises [Failure] if resumed twice. *)
+val suspend : t -> (('a -> unit) -> unit) -> 'a
+(** [suspend t register] parks the calling process.  [register] receives
+    a one-shot [resume] function; calling [resume v] (from any other
+    process or callback, or from [register] itself) schedules the parked
+    process to continue with value [v] at the current virtual time.
+    Raises [Failure] if resumed twice. *)
+
+val park : t -> (unit -> unit) Queue.t -> unit
+(** [park t waiters] pushes the calling process's waker onto [waiters]
+    and parks it.  Whoever pops the waker and calls it schedules the
+    process to continue at the current virtual time; a waker resumes
+    one park once.  Unlike {!suspend} this allocates no closure: the
+    waker is preallocated with the process.  This is how [Resource] and
+    [Mailbox] block. *)
 
 val join : t -> process_handle -> unit
 (** [join t h] blocks until the process behind [h] has finished.  Returns

@@ -38,11 +38,9 @@ let acquire t =
     account t;
     t.held <- t.held + 1
   end
-  else begin
-    Engine.suspend (fun resume -> Queue.push resume t.waiters);
-    (* The releaser transferred its unit to us: [held] stays constant. *)
-    ()
-  end
+  else
+    (* The releaser transfers its unit to us: [held] stays constant. *)
+    Engine.park t.engine t.waiters
 
 let release t =
   if t.held <= 0 then invalid_arg "Resource.release: nothing held";
@@ -53,8 +51,8 @@ let release t =
   else
     (* Hand the unit over without dropping [held]: the waiter resumes
        holding it, so utilization accounting sees no gap. *)
-    let next = Queue.pop t.waiters in
-    next ()
+    let wake = Queue.pop t.waiters in
+    wake ()
 
 let use t f =
   acquire t;

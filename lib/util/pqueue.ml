@@ -4,7 +4,7 @@
    chasing pointers: every entry was a boxed {time; seq; value} record,
    and every sift compared through two indirections.  The discrete-event
    engine's push distribution is extremely skewed — almost every event is
-   scheduled either at the current instant (suspend/resume trampolines)
+   scheduled either at the current instant (park/wake trampolines)
    or a few microseconds ahead (fabric verbs, compute flushes) — so the
    rewrite splits pending events across four flat-array structures, all
    storing time/seq/value in parallel unboxed arrays:

@@ -4,6 +4,8 @@
 module Engine = Drust_sim.Engine
 module Mailbox = Drust_sim.Mailbox
 module Resource = Drust_sim.Resource
+module Fabric = Drust_net.Fabric
+module Model = Drust_net.Model
 
 let checkf = Alcotest.check (Alcotest.float 1e-12)
 
@@ -272,6 +274,178 @@ let test_resource_exception_releases () =
          Alcotest.(check int) "released" 0 (Resource.in_use r)));
   Engine.run e
 
+let test_schedule_nan_rejected () =
+  let e = Engine.create () in
+  Alcotest.check_raises "schedule"
+    (Invalid_argument "Engine.schedule: at is NaN") (fun () ->
+      Engine.schedule e ~at:Float.nan ignore);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending_events e)
+
+let test_delay_nan_rejected () =
+  let e = Engine.create () in
+  let raised = ref None in
+  ignore
+    (Engine.spawn e (fun () ->
+         try Engine.delay e Float.nan
+         with Invalid_argument msg -> raised := Some msg));
+  Engine.run e;
+  Alcotest.(check (option string)) "delay" (Some "Engine.delay: NaN delay")
+    !raised
+
+(* An infinite delay is legal: the process parks forever. *)
+let test_delay_infinity_parks () =
+  let e = Engine.create () in
+  let woke = ref false in
+  ignore
+    (Engine.spawn e (fun () ->
+         Engine.delay e Float.infinity;
+         woke := true));
+  Engine.run ~until:1.0 e;
+  Alcotest.(check bool) "still parked" false !woke;
+  Alcotest.(check int) "live" 1 (Engine.live_processes e)
+
+(* A resumer handed out by [suspend] is one-shot: the second call fails
+   in the caller, and the parked process continues once. *)
+let test_double_resume_fails () =
+  let e = Engine.create () in
+  let resumer = ref None in
+  let resumed = ref 0 in
+  ignore
+    (Engine.spawn e (fun () ->
+         let v = Engine.suspend e (fun resume -> resumer := Some resume) in
+         resumed := !resumed + v));
+  ignore
+    (Engine.spawn ~at:1.0 e (fun () ->
+         let resume = Option.get !resumer in
+         resume 1;
+         resume 2));
+  Alcotest.check_raises "second resume"
+    (Engine.Process_failure (Failure "Engine: process resumed twice"))
+    (fun () -> Engine.run e);
+  Alcotest.(check int) "continued once, with the first value" 1 !resumed
+
+(* ------------------------------------------------------------------ *)
+(* Dispatch order *)
+
+(* Every blocking primitive in one run: delays, yields, joins, a
+   contended resource, a mailbox receive that blocks and one that does
+   not, and two fabric RPCs raced against their timers (one settles, one
+   expires and leaves its helper running).  The (virtual time, process,
+   step) trace and the engine's event and push counts are pinned to the
+   values of the engine before processes parked on a preallocated
+   record: the park mechanism may change host cost only, never the
+   order, the timing or the number of events. *)
+let test_dispatch_order_pinned () =
+  let e = Engine.create () in
+  let model = { Model.infiniband_40g with Model.jitter = 0.0 } in
+  let fabric =
+    Fabric.create ~engine:e ~rng:(Drust_util.Rng.create ~seed:1) ~model
+      ~nodes:2 ()
+  in
+  let r = Resource.create e ~capacity:1 in
+  let mb = Mailbox.create e in
+  let trace = ref [] in
+  let log name step =
+    trace := Printf.sprintf "%.9g %s %d" (Engine.now e) name step :: !trace
+  in
+  let a =
+    Engine.spawn e (fun () ->
+        log "a" 0;
+        Engine.delay e 1e-6;
+        log "a" 1;
+        Resource.use r (fun () ->
+            log "a" 2;
+            Engine.delay e 2e-6);
+        log "a" 3;
+        Engine.yield e;
+        log "a" 4;
+        let v = Mailbox.recv mb in
+        log "a" (10 + v);
+        let w = Mailbox.recv mb in
+        log "a" (10 + w))
+  in
+  let b =
+    Engine.spawn e (fun () ->
+        log "b" 0;
+        Resource.use r (fun () ->
+            log "b" 1;
+            Engine.delay e 1e-6);
+        log "b" 2;
+        Mailbox.send mb 1;
+        Engine.yield e;
+        log "b" 3;
+        let v =
+          Fabric.rpc_with_timeout fabric ~from:0 ~target:1 ~req_bytes:64
+            ~resp_bytes:64 ~timeout:1e-3 (fun () ->
+              log "b" 4;
+              5)
+        in
+        log "b" v;
+        Mailbox.send mb 2;
+        (try
+           Fabric.rpc_with_timeout fabric ~from:1 ~target:0 ~req_bytes:64
+             ~resp_bytes:64 ~timeout:1e-6 (fun () ->
+               log "b" 6;
+               Engine.delay e 1e-6;
+               log "b" 7)
+         with Fabric.Rpc_timeout _ -> log "b" 8);
+        Engine.delay e 20e-6;
+        log "b" 9)
+  in
+  ignore
+    (Engine.spawn e (fun () ->
+         Engine.join e a;
+         log "c" 0;
+         Engine.join e b;
+         log "c" 1));
+  ignore
+    (Engine.spawn ~at:1e-6 e (fun () ->
+         for i = 0 to 2 do
+           log "d" i;
+           Resource.use r (fun () -> Engine.yield e)
+         done));
+  Engine.run e;
+  Alcotest.(check (list string)) "trace"
+    [
+      "0 a 0"; "0 b 0"; "0 b 1"; "1e-06 d 0"; "1e-06 a 1"; "1e-06 b 2";
+      "1e-06 b 3"; "1e-06 d 1"; "1e-06 a 2"; "3e-06 a 3"; "3e-06 a 4";
+      "3e-06 a 11"; "3e-06 d 2"; "5.5128e-06 b 4"; "1.00256e-05 b 5";
+      "1.00256e-05 a 12"; "1.00256e-05 c 0"; "1.10256e-05 b 8";
+      "1.45384e-05 b 6"; "1.55384e-05 b 7"; "3.10256e-05 b 9";
+      "3.10256e-05 c 1";
+    ]
+    (List.rev !trace);
+  Alcotest.(check int) "dispatched" 46 (Engine.dispatched e);
+  Alcotest.(check int) "pushes" 46 (Engine.pushes e)
+
+(* Blocking must not allocate per call beyond the continuation and the
+   queue entry: 100 k delays and 100 k yields in one process, at most 12
+   minor words each (the closure-per-park engine allocated 40 and 37). *)
+let test_park_allocation () =
+  let calls = 100_000 in
+  let words_per_call block =
+    let e = Engine.create () in
+    let per_call = ref Float.nan in
+    ignore
+      (Engine.spawn e (fun () ->
+           block e;
+           let w0 = Gc.minor_words () in
+           for _ = 1 to calls do
+             block e
+           done;
+           per_call := (Gc.minor_words () -. w0) /. Float.of_int calls));
+    Engine.run e;
+    !per_call
+  in
+  let check name block =
+    let w = words_per_call block in
+    if not (w <= 12.0) then
+      Alcotest.failf "%s allocates %.1f minor words per call (limit 12)" name
+        w
+  in
+  check "Engine.delay" (fun e -> Engine.delay e 1e-6);
+  check "Engine.yield" Engine.yield
+
 (* Property: however many processes contend, a resource never exceeds its
    capacity and always drains back to zero. *)
 let prop_resource_capacity =
@@ -309,6 +483,16 @@ let () =
           Alcotest.test_case "join re-raises" `Quick test_join_reraises;
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
           Alcotest.test_case "run until" `Quick test_run_until;
+          Alcotest.test_case "schedule nan rejected" `Quick
+            test_schedule_nan_rejected;
+          Alcotest.test_case "delay nan rejected" `Quick test_delay_nan_rejected;
+          Alcotest.test_case "delay infinity parks" `Quick
+            test_delay_infinity_parks;
+          Alcotest.test_case "double resume fails" `Quick
+            test_double_resume_fails;
+          Alcotest.test_case "dispatch order pinned" `Quick
+            test_dispatch_order_pinned;
+          Alcotest.test_case "park allocation" `Quick test_park_allocation;
         ] );
       ( "mailbox",
         [
