@@ -173,12 +173,15 @@ let stats_of ctx = stats_of_ps (Ctx.cluster ctx) (pstate_of ctx)
 (* Close one measured operation: classify the outcome, observe the
    latency, restore the context's saved measurement state.  Toplevel —
    not a closure — so the measurement wrapper allocates nothing per
-   operation when tracing is off. *)
-let finish_op ctx hists ~default ~saved_kind ~saved_span ~sp ~t0 ~p0 =
+   operation when tracing is off, and inlined so that [p0] and the
+   pending seconds ([Params.cycles_to_seconds], computed here) stay
+   unboxed: only the observed latency is boxed. *)
+let[@inline] finish_op ctx hists ~default ~saved_kind ~saved_span ~sp ~t0 ~p0 =
   let kind = if ctx.Ctx.op_kind < 0 then default else ctx.Ctx.op_kind in
   let t1 = Drust_sim.Engine.now (Ctx.engine ctx) in
   let pending =
-    Params.cycles_to_seconds (Ctx.params ctx) (ctx.Ctx.pending_cycles -. p0)
+    (ctx.Ctx.pending.Ctx.cycles -. p0)
+    /. ((Ctx.params ctx).Params.ghz *. 1e9)
   in
   let lat = t1 -. t0 +. pending in
   Metrics.observe (Array.unsafe_get hists kind) lat;
@@ -201,7 +204,7 @@ let measure_op ctx ~default f =
   let saved_kind = ctx.Ctx.op_kind in
   ctx.Ctx.op_kind <- -1;
   let t0 = Drust_sim.Engine.now (Ctx.engine ctx) in
-  let p0 = ctx.Ctx.pending_cycles in
+  let p0 = ctx.Ctx.pending.Ctx.cycles in
   let spans = Cluster.spans cluster in
   let saved_span = ctx.Ctx.current_span in
   let sp =

@@ -4,6 +4,7 @@ module Engine = Drust_sim.Engine
 module Resource = Drust_sim.Resource
 module Fabric = Drust_net.Fabric
 module Univ = Drust_util.Univ
+module Intmap = Drust_util.Intmap
 module Dsm = Drust_dsm.Dsm
 
 type costs = {
@@ -40,7 +41,9 @@ type big_state = {
   resident : bool array; (* per node: counted against the cache budget *)
 }
 
-type layout = Small of int list (* block ids *) | Big of big_state
+(* A small object's blocks are the contiguous ids [first, first +
+   nblocks); it is smaller than a block, so it spans one or two. *)
+type layout = Small of int (* first block id *) | Big of big_state
 
 type handle = {
   oid : int;
@@ -55,9 +58,9 @@ type t = {
   cluster : Cluster.t;
   block_size : int;
   costs : costs;
-  directory : (int, block_state ref) Hashtbl.t; (* block id -> state *)
+  directory : block_state ref Intmap.t; (* block id -> state *)
   dir_units : Resource.t array; (* per-node directory engines *)
-  store : (int, Univ.t) Hashtbl.t; (* object id -> current value *)
+  store : Univ.t Intmap.t; (* object id -> current value *)
   bump : int array; (* per-node allocation cursor in bytes *)
   mutable next_oid : int;
   mutable rmisses : int;
@@ -77,11 +80,11 @@ let create ?(block_size = 512) ?(costs = default_costs)
     cluster;
     block_size;
     costs;
-    directory = Hashtbl.create 4096;
+    directory = Intmap.create ~capacity:4096 ();
     dir_units =
       Array.init (Cluster.node_count cluster) (fun _ ->
           Resource.create (Cluster.engine cluster) ~capacity:4);
-    store = Hashtbl.create 4096;
+    store = Intmap.create ~capacity:4096 ();
     bump = Array.make (Cluster.node_count cluster) 0;
     next_oid = 0;
     rmisses = 0;
@@ -95,17 +98,24 @@ let create ?(block_size = 512) ?(costs = default_costs)
 let block_size t = t.block_size
 
 (* Register a faulted object in the node's bounded cache, evicting LRU
-   residents (their cursors reset, forcing a re-fault) beyond budget. *)
+   residents (their cursors reset, forcing a re-fault) beyond budget.
+   The object being inserted is never evicted: its entries go back to
+   the queue, and once they are all that is left ([kept] of them popped
+   in a row) an object larger than the budget stays resident alone. *)
 let note_resident t ~node (bs : big_state) ~size =
+  let lru = t.lru.(node) in
   if not bs.resident.(node) then begin
     bs.resident.(node) <- true;
     t.cache_bytes.(node) <- t.cache_bytes.(node) + size;
-    Queue.push (bs, size) t.lru.(node)
+    Queue.push (bs, size) lru
   end;
+  let kept = ref 0 in
   while
-    t.cache_bytes.(node) > t.cache_budget && not (Queue.is_empty t.lru.(node))
+    t.cache_bytes.(node) > t.cache_budget
+    && (not (Queue.is_empty lru))
+    && !kept < Queue.length lru
   do
-    let victim, vsize = Queue.pop t.lru.(node) in
+    let victim, vsize = Queue.pop lru in
     if
       victim.resident.(node)
       && ((victim != bs)
@@ -115,14 +125,19 @@ let note_resident t ~node (bs : big_state) ~size =
     then begin
       victim.resident.(node) <- false;
       victim.cursors.(node) <- 0;
-      t.cache_bytes.(node) <- t.cache_bytes.(node) - vsize
+      t.cache_bytes.(node) <- t.cache_bytes.(node) - vsize;
+      kept := 0
     end
     else if
       ((victim == bs)
       [@dlint.allow
         "determinism: identity test on unique mutable cache records — \
          the object being inserted must not evict itself"])
-    then Queue.push (victim, vsize) t.lru.(node)
+    then begin
+      Queue.push (victim, vsize) lru;
+      incr kept
+    end
+    else kept := 0
   done
 
 (* Globally unique block ids: 2^34 bytes of virtual space per node. *)
@@ -132,7 +147,7 @@ let alloc_on t ctx ~node ~size v =
   Ctx.charge_cycles ctx 150.0;
   let oid = t.next_oid in
   t.next_oid <- oid + 1;
-  Hashtbl.replace t.store oid v;
+  Intmap.set t.store oid v;
   let nodes = Cluster.node_count t.cluster in
   if size >= t.block_size then begin
     (* Align large objects so their blocks are private to them. *)
@@ -165,7 +180,7 @@ let alloc_on t ctx ~node ~size v =
       obj_home = node;
       nblocks = last - first + 1;
       size;
-      layout = Small (List.init (last - first + 1) (fun i -> first + i));
+      layout = Small first;
     }
   end
 
@@ -174,11 +189,11 @@ let alloc t ctx ~size v = alloc_on t ctx ~node:ctx.Ctx.node ~size v
 let home h = h.obj_home
 
 let state_ref t b =
-  match Hashtbl.find_opt t.directory b with
-  | Some r -> r
-  | None ->
+  match Intmap.find t.directory b with
+  | r -> r
+  | exception Not_found ->
       let r = ref Uncached in
-      Hashtbl.replace t.directory b r;
+      Intmap.set t.directory b r;
       r
 
 let distinct (l : int list) = List.sort_uniq Int.compare l
@@ -234,43 +249,46 @@ let has_exclusive node = function
   | Exclusive o -> o = node
   | Shared _ | Uncached -> false
 
-let small_read t ctx h blocks_ =
+(* The small-object paths walk the block range and keep the blocks
+   they act on as a bit set over it ([nblocks] is at most 2), so an
+   access that hits builds no list. *)
+let[@inline] in_set set first b = set land (1 lsl (b - first)) <> 0
+
+let rec popcount set = if set = 0 then 0 else (set land 1) + popcount (set lsr 1)
+
+let small_read t ctx h first =
   let node = ctx.Ctx.node in
-  let missed =
-    List.filter (fun b -> not (has_shared node !(state_ref t b))) blocks_
-  in
-  if missed = [] then Ctx.charge_cycles ctx t.costs.hit_check_cycles
+  let last = first + h.nblocks - 1 in
+  let missed = ref 0 in
+  for b = first to last do
+    if not (has_shared node !(state_ref t b)) then
+      missed := !missed lor (1 lsl (b - first))
+  done;
+  let missed = !missed in
+  if missed = 0 then Ctx.charge_cycles ctx t.costs.hit_check_cycles
   else begin
-    (if
-       h.obj_home = node
-       && List.for_all
-            (fun b ->
-              match !(state_ref t b) with
-              | Exclusive o -> o = node
-              | Shared _ | Uncached -> true)
-            missed
-     then
+    (* A missed block held exclusively is held by another node. *)
+    let owners = ref [] in
+    for b = first to last do
+      if in_set missed first b then
+        match !(state_ref t b) with
+        | Exclusive o -> owners := o :: !owners
+        | Shared _ | Uncached -> ()
+    done;
+    let owners = distinct !owners in
+    (if h.obj_home = node && owners = [] then
        (* Local fast path: the requester is the home, nothing conflicts. *)
        Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
      else begin
        t.rmisses <- t.rmisses + 1;
        Ctx.note_remote_access ctx ~target:h.obj_home;
-       let owners =
-         distinct
-           (List.filter_map
-              (fun b ->
-                match !(state_ref t b) with
-                | Exclusive o when o <> node -> Some o
-                | Exclusive _ | Shared _ | Uncached -> None)
-              missed)
-       in
+       let n = popcount missed in
        directory_round t ctx ~home:h.obj_home
-         ~resp_bytes:(min h.size (List.length missed * t.block_size))
-         ~nblocks:(List.length missed) ~third_parties:owners
-         ~third_bytes:t.block_size
+         ~resp_bytes:(min h.size (n * t.block_size))
+         ~nblocks:n ~third_parties:owners ~third_bytes:t.block_size
      end);
-    List.iter
-      (fun b ->
+    for b = first to last do
+      if in_set missed first b then begin
         let r = state_ref t b in
         let sharers =
           match !r with
@@ -278,49 +296,62 @@ let small_read t ctx h blocks_ =
           | Shared nodes -> distinct (node :: nodes)
           | Exclusive o -> distinct [ node; o ]
         in
-        r := Shared sharers)
-      missed
+        r := Shared sharers
+      end
+    done
   end
 
-let small_acquire t ctx h blocks_ =
+let small_acquire t ctx h first =
   let node = ctx.Ctx.node in
-  let need =
-    List.filter (fun b -> not (has_exclusive node !(state_ref t b))) blocks_
-  in
-  if need = [] then Ctx.charge_cycles ctx t.costs.hit_check_cycles
+  let last = first + h.nblocks - 1 in
+  let need = ref 0 in
+  for b = first to last do
+    if not (has_exclusive node !(state_ref t b)) then
+      need := !need lor (1 lsl (b - first))
+  done;
+  let need = !need in
+  if need = 0 then Ctx.charge_cycles ctx t.costs.hit_check_cycles
   else begin
-    let third_parties =
-      distinct
-        (List.concat_map
-           (fun b ->
-             match !(state_ref t b) with
-             | Uncached -> []
-             | Shared nodes -> List.filter (fun n -> n <> node) nodes
-             | Exclusive o -> if o <> node then [ o ] else [])
-           need)
-    in
+    let others = ref [] and dirty_fetch = ref false in
+    for b = first to last do
+      if in_set need first b then
+        match !(state_ref t b) with
+        | Uncached -> ()
+        | Shared nodes ->
+            List.iter (fun n -> if n <> node then others := n :: !others) nodes
+        | Exclusive o ->
+            if o <> node then begin
+              others := o :: !others;
+              dirty_fetch := true
+            end
+    done;
+    let third_parties = distinct !others in
     (if h.obj_home = node && third_parties = [] then
        Ctx.charge_cycles ctx (t.costs.hit_check_cycles +. 900.0)
      else begin
        t.wmisses <- t.wmisses + 1;
        Ctx.note_remote_access ctx ~target:h.obj_home;
-       let dirty_fetch =
-         List.exists
-           (fun b ->
-             match !(state_ref t b) with Exclusive o -> o <> node | _ -> false)
-           need
-       in
+       let n = popcount need in
        directory_round t ctx ~home:h.obj_home
          ~resp_bytes:
-           (if dirty_fetch then min h.size (List.length need * t.block_size)
-            else 32)
-         ~nblocks:(List.length need) ~third_parties ~third_bytes:32
+           (if !dirty_fetch then min h.size (n * t.block_size) else 32)
+         ~nblocks:n ~third_parties ~third_bytes:32
      end);
-    List.iter (fun b -> state_ref t b := Exclusive node) need
+    for b = first to last do
+      if in_set need first b then state_ref t b := Exclusive node
+    done
   end
 
 (* ------------------------------------------------------------------ *)
 (* Large objects: streaming-cursor summary                              *)
+
+(* Whether another node, or [node] itself, holds the object exclusively:
+   matches, not option comparisons, which would allocate [Some node]. *)
+let[@inline] other_writer bs node =
+  match bs.excl with Some o -> o <> node | None -> false
+
+let[@inline] own_writer bs node =
+  match bs.excl with Some o -> o = node | None -> false
 
 (* Fault [want] blocks starting at the node's cursor. *)
 let big_fault t ctx h (bs : big_state) ~want =
@@ -355,12 +386,12 @@ let big_fault t ctx h (bs : big_state) ~want =
 let big_read_all t ctx h bs =
   let node = ctx.Ctx.node in
   (* A stale exclusive holder forces a round even with a full cursor. *)
-  if bs.excl <> None && bs.excl <> Some node then bs.cursors.(node) <- 0;
+  if other_writer bs node then bs.cursors.(node) <- 0;
   big_fault t ctx h bs ~want:(h.nblocks - bs.cursors.(node))
 
 let big_acquire t ctx h bs =
   let node = ctx.Ctx.node in
-  if bs.excl = Some node then Ctx.charge_cycles ctx t.costs.hit_check_cycles
+  if own_writer bs node then Ctx.charge_cycles ctx t.costs.hit_check_cycles
   else begin
     let sharers = ref [] in
     Array.iteri
@@ -389,16 +420,15 @@ let big_acquire t ctx h bs =
 
 let ensure_shared t ctx h =
   match h.layout with
-  | Small blocks_ -> small_read t ctx h blocks_
+  | Small first -> small_read t ctx h first
   | Big bs -> big_read_all t ctx h bs
 
 let read_part t ctx h ~bytes =
   match h.layout with
-  | Small blocks_ -> small_read t ctx h blocks_
+  | Small first -> small_read t ctx h first
   | Big bs ->
       let node = ctx.Ctx.node in
-      let stale_writer = bs.excl <> None && bs.excl <> Some node in
-      if stale_writer then bs.cursors.(node) <- 0;
+      if other_writer bs node then bs.cursors.(node) <- 0;
       if bs.cursors.(node) >= h.nblocks then
         Ctx.charge_cycles ctx t.costs.hit_check_cycles
       else begin
@@ -413,30 +443,33 @@ let read_part t ctx h ~bytes =
 
 let read t ctx h =
   ensure_shared t ctx h;
-  match Hashtbl.find_opt t.store h.oid with
-  | Some v -> v
-  | None -> invalid_arg "Gam.read: freed object"
+  match Intmap.find t.store h.oid with
+  | v -> v
+  | exception Not_found -> invalid_arg "Gam.read: freed object"
 
 let acquire_exclusive t ctx h =
   match h.layout with
-  | Small blocks_ -> small_acquire t ctx h blocks_
+  | Small first -> small_acquire t ctx h first
   | Big bs -> big_acquire t ctx h bs
 
 let write t ctx h v =
   acquire_exclusive t ctx h;
-  Hashtbl.replace t.store h.oid v
+  Intmap.set t.store h.oid v
 
 let update t ctx h f =
   acquire_exclusive t ctx h;
-  match Hashtbl.find_opt t.store h.oid with
-  | Some v -> Hashtbl.replace t.store h.oid (f v)
-  | None -> invalid_arg "Gam.update: freed object"
+  match Intmap.find t.store h.oid with
+  | v -> Intmap.set t.store h.oid (f v)
+  | exception Not_found -> invalid_arg "Gam.update: freed object"
 
 let free t ctx h =
   Ctx.charge_cycles ctx 120.0;
-  Hashtbl.remove t.store h.oid;
+  Intmap.remove t.store h.oid;
   match h.layout with
-  | Small blocks_ -> List.iter (fun b -> Hashtbl.remove t.directory b) blocks_
+  | Small first ->
+      for b = first to first + h.nblocks - 1 do
+        Intmap.remove t.directory b
+      done
   | Big _ -> ()
 
 let read_misses t = t.rmisses

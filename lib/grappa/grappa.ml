@@ -4,6 +4,7 @@ module Engine = Drust_sim.Engine
 module Resource = Drust_sim.Resource
 module Fabric = Drust_net.Fabric
 module Univ = Drust_util.Univ
+module Intmap = Drust_util.Intmap
 module Dsm = Drust_dsm.Dsm
 
 type costs = {
@@ -31,10 +32,10 @@ type t = {
      eat the timeout — Grappa's characteristic behaviour. *)
   last_send : float array array; (* per (src, dst) pair *)
   gap_ewma : float array array;
-  store : (int, Univ.t) Hashtbl.t;
+  store : Univ.t Intmap.t;
   (* Per-object serialization: Grappa runs delegations for one object on
      one core, so they never interleave. *)
-  object_units : (int, Resource.t) Hashtbl.t;
+  object_units : Resource.t Intmap.t;
   mutable next_oid : int;
   mutable count : int;
 }
@@ -55,8 +56,8 @@ let create ?(costs = default_costs) cluster =
     gap_ewma =
       Array.init (Cluster.node_count cluster) (fun _ ->
           Array.make (Cluster.node_count cluster) 1e-3);
-    store = Hashtbl.create 4096;
-    object_units = Hashtbl.create 4096;
+    store = Intmap.create ~capacity:4096 ();
+    object_units = Intmap.create ~capacity:4096 ();
     next_oid = 0;
     count = 0;
   }
@@ -68,9 +69,11 @@ let release_raise r e =
   Resource.release r;
   raise e
 
-let compute t cycles =
-  Engine.delay (Cluster.engine t.cluster)
-    (Drust_machine.Params.cycles_to_seconds (Cluster.params t.cluster) cycles)
+(* [Params.cycles_to_seconds], computed here so that only the delay
+   itself is boxed. *)
+let[@inline] compute t cycles =
+  let ghz = (Cluster.params t.cluster).Drust_machine.Params.ghz in
+  Engine.delay (Cluster.engine t.cluster) (cycles /. (ghz *. 1e9))
 
 (* The delegated work on one of the home node's worker cores. *)
 let run_at_home t ~home ~extra_cycles f =
@@ -118,18 +121,18 @@ let delegate t ctx ~home ~req_bytes ~resp_bytes ~extra_cycles f =
   end
 
 let object_unit t oid =
-  match Hashtbl.find_opt t.object_units oid with
-  | Some r -> r
-  | None ->
+  match Intmap.find t.object_units oid with
+  | r -> r
+  | exception Not_found ->
       let r = Resource.create (Cluster.engine t.cluster) ~capacity:1 in
-      Hashtbl.replace t.object_units oid r;
+      Intmap.set t.object_units oid r;
       r
 
 let alloc_on t ctx ~node ~size v =
   Ctx.charge_cycles ctx 150.0;
   let oid = t.next_oid in
   t.next_oid <- oid + 1;
-  Hashtbl.replace t.store oid v;
+  Intmap.set t.store oid v;
   { oid; obj_home = node; size }
 
 let alloc t ctx ~size v = alloc_on t ctx ~node:ctx.Ctx.node ~size v
@@ -137,9 +140,9 @@ let alloc t ctx ~size v = alloc_on t ctx ~node:ctx.Ctx.node ~size v
 let home h = h.obj_home
 
 let get_value t h =
-  match Hashtbl.find_opt t.store h.oid with
-  | Some v -> v
-  | None -> invalid_arg "Grappa: freed object"
+  match Intmap.find t.store h.oid with
+  | v -> v
+  | exception Not_found -> invalid_arg "Grappa: freed object"
 
 (* Home-side bodies of the serialized accesses: each holds the object's
    unit for its whole body, released on exception like [Resource.use]. *)
@@ -169,12 +172,12 @@ let process_at_home t h cycles =
 
 let write_at_home t h v =
   let u = hold t h in
-  Hashtbl.replace t.store h.oid v;
+  Intmap.set t.store h.oid v;
   Resource.release u
 
 let update_at_home t h f =
   let u = hold t h in
-  match Hashtbl.replace t.store h.oid (f (get_value t h)) with
+  match Intmap.set t.store h.oid (f (get_value t h)) with
   | () -> Resource.release u
   | exception e -> release_raise u e
 
@@ -182,7 +185,7 @@ let process_update_at_home t h cycles f =
   let u = hold t h in
   match
     compute t cycles;
-    Hashtbl.replace t.store h.oid (f (get_value t h))
+    Intmap.set t.store h.oid (f (get_value t h))
   with
   | () -> Resource.release u
   | exception e -> release_raise u e
@@ -216,8 +219,8 @@ let update t ctx h f =
 
 let free t ctx h =
   Ctx.charge_cycles ctx 60.0;
-  Hashtbl.remove t.store h.oid;
-  Hashtbl.remove t.object_units h.oid
+  Intmap.remove t.store h.oid;
+  Intmap.remove t.object_units h.oid
 
 let delegations t = t.count
 let reset_stats t = t.count <- 0

@@ -1,6 +1,7 @@
 (* DLint registry and runner: the entry point behind tools/dlint.ml and
    test/test_lint.ml.  The framework itself lives in [Lint]; the passes
-   in [Pass_determinism], [Pass_globals], [Pass_ownership].  docs/LINTS.md
+   in [Pass_determinism], [Pass_globals], [Pass_ownership],
+   [Pass_boxed_float].  docs/LINTS.md
    catalogues the registry and tools/check_docs.ml keeps the two in
    sync both ways. *)
 
@@ -22,7 +23,7 @@ let hygiene_pass =
 
 let passes =
   [ Pass_determinism.pass; Pass_globals.pass; Pass_ownership.pass;
-    hygiene_pass ]
+    Pass_boxed_float.pass; hygiene_pass ]
 
 let pass_names = List.map (fun p -> p.Lint.p_name) passes
 

@@ -2,10 +2,11 @@
 
     The framework (diagnostics, allow attributes, parsing, AST helpers)
     is in {!Lint}; individual passes are [Pass_determinism],
-    [Pass_globals] and [Pass_ownership].  This module owns the registry
-    — the single source of truth that [tools/dlint.ml] (the @lint
-    alias), [tools/check_docs.ml] (docs/LINTS.md agreement, both ways)
-    and [test/test_lint.ml] all consult. *)
+    [Pass_globals], [Pass_ownership] and [Pass_boxed_float].  This
+    module owns the registry — the single source of truth that
+    [tools/dlint.ml] (the @lint alias), [tools/check_docs.ml]
+    (docs/LINTS.md agreement, both ways) and [test/test_lint.ml] all
+    consult. *)
 
 val passes : Lint.pass list
 (** The registered passes, in catalogue order.  Includes the synthetic

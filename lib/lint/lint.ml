@@ -6,9 +6,9 @@
    decidable subset — determinism hygiene, no process-global mutable
    state, ownership-API discipline — that can be enforced at the source
    level, before a simulation ever runs.  Passes live in
-   [Pass_determinism], [Pass_globals] and [Pass_ownership]; the registry
-   and runner live in [Dlint]; the CLI is tools/dlint.ml behind the
-   @lint alias.
+   [Pass_determinism], [Pass_globals], [Pass_ownership] and
+   [Pass_boxed_float]; the registry and runner live in [Dlint]; the CLI
+   is tools/dlint.ml behind the @lint alias.
 
    Exemptions are use-site attributes, never a side table of paths:
 
@@ -287,6 +287,16 @@ let collect_allows ctx ~emit_hygiene structure =
     List.iter (record ~start ~stop) mb.pmb_attributes;
     default_iterator.module_binding it mb
   in
+  let type_declaration it (td : Parsetree.type_declaration) =
+    let start, stop = range_of td.ptype_loc in
+    List.iter (record ~start ~stop) td.ptype_attributes;
+    default_iterator.type_declaration it td
+  in
+  let label_declaration it (ld : Parsetree.label_declaration) =
+    let start, stop = range_of ld.pld_loc in
+    List.iter (record ~start ~stop) ld.pld_attributes;
+    default_iterator.label_declaration it ld
+  in
   let structure_item it (si : Parsetree.structure_item) =
     (match si.pstr_desc with
     (* A floating [@@@dlint.allow "..."] scopes the whole file. *)
@@ -295,7 +305,15 @@ let collect_allows ctx ~emit_hygiene structure =
     default_iterator.structure_item it si
   in
   let it =
-    { default_iterator with expr; value_binding; module_binding; structure_item }
+    {
+      default_iterator with
+      expr;
+      value_binding;
+      module_binding;
+      type_declaration;
+      label_declaration;
+      structure_item;
+    }
   in
   it.structure it structure;
   List.rev !allows

@@ -86,7 +86,8 @@ val emit : ctx -> pass:string -> loc:Location.t -> string -> unit
 val collect_allows :
   ctx -> emit_hygiene:bool -> Parsetree.structure -> allow list
 (** Gather the file's [\[@dlint.allow\]] attributes (on expressions,
-    value bindings, module bindings, or floating at file scope).
+    value bindings, module bindings, type declarations, record fields,
+    or floating at file scope).
     Malformed payloads, unknown pass ids and empty reasons are hygiene
     findings when [emit_hygiene] is set. *)
 

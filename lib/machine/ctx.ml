@@ -1,15 +1,16 @@
 module Engine = Drust_sim.Engine
 module Resource = Drust_sim.Resource
 
+type pending = { mutable cycles : float }
+
 type t = {
   cluster : Cluster.t;
   thread_id : int;
   mutable node : int;
   rng : Drust_util.Rng.t;
-  mutable pending_cycles : float;
+  pending : pending;
   mutable local_alloc_bytes : int;
   remote_accesses : int array;
-  mutable computed_seconds : float;
   mutable safe_point_hook : (t -> unit) option;
   mutable current_span : Drust_obs.Span.span option;
   mutable op_kind : int;
@@ -25,10 +26,9 @@ let make cluster ~node =
     thread_id = id;
     node;
     rng = Drust_util.Rng.split (Cluster.rng cluster);
-    pending_cycles = 0.0;
+    pending = { cycles = 0.0 };
     local_alloc_bytes = 0;
     remote_accesses = Array.make (Cluster.node_count cluster) 0;
-    computed_seconds = 0.0;
     safe_point_hook = None;
     current_span = None;
     op_kind = -1;
@@ -50,13 +50,16 @@ let[@inline] record t ~kind ~a ~b ~c ~d =
 let safe_point t =
   match t.safe_point_hook with None -> () | Some hook -> hook t
 
+(* [Params.cycles_to_seconds], computed here: a float returned from
+   another module comes back boxed. *)
+let[@inline] seconds_of t cycles = cycles /. ((params t).Params.ghz *. 1e9)
+
 let flush t =
   safe_point t;
-  if t.pending_cycles > 0.0 then begin
-    let cycles = t.pending_cycles in
-    t.pending_cycles <- 0.0;
-    let seconds = Params.cycles_to_seconds (params t) cycles in
-    t.computed_seconds <- t.computed_seconds +. seconds;
+  let cycles = t.pending.cycles in
+  if cycles > 0.0 then begin
+    t.pending.cycles <- 0.0;
+    let seconds = seconds_of t cycles in
     let cores = (current_node t).Cluster.cores in
     let spans = Cluster.spans t.cluster in
     if Drust_obs.Span.is_enabled spans then begin
@@ -84,12 +87,12 @@ let flush t =
 
 let charge_cycles t cycles =
   if cycles < 0.0 then invalid_arg "Ctx.charge_cycles: negative";
-  t.pending_cycles <- t.pending_cycles +. cycles;
-  let grain = (params t).Params.flush_grain in
-  if Params.cycles_to_seconds (params t) t.pending_cycles >= grain then flush t
+  let pending = t.pending.cycles +. cycles in
+  t.pending.cycles <- pending;
+  if seconds_of t pending >= (params t).Params.flush_grain then flush t
 
 let compute t ~cycles =
-  t.pending_cycles <- t.pending_cycles +. cycles;
+  t.pending.cycles <- t.pending.cycles +. cycles;
   flush t
 
 let note_remote_access t ~target =

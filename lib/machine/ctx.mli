@@ -11,15 +11,19 @@
     the network.  This keeps simulations fast without losing CPU
     contention. *)
 
+type pending = { mutable cycles : float }
+(** Compute charged but not yet flushed.  A record whose fields are all
+    floats stores them unboxed, so a charge updates it without
+    allocating; the same field in {!t} would box on every write. *)
+
 type t = {
   cluster : Cluster.t;
   thread_id : int;
   mutable node : int;
   rng : Drust_util.Rng.t;
-  mutable pending_cycles : float;
+  pending : pending;
   mutable local_alloc_bytes : int;
   remote_accesses : int array;  (** per-target-node counts *)
-  mutable computed_seconds : float;
   mutable safe_point_hook : (t -> unit) option;
       (** invoked at flush points; the runtime installs migration here *)
   mutable current_span : Drust_obs.Span.span option;

@@ -69,19 +69,26 @@ type verbs = {
    the engine's push count right after the batch event was pushed; any
    later push invalidates the batch for further appends.  [bt_done]
    marks a fired batch whose record may be recycled for the next batch
-   on the edge, so steady-state batching allocates no records. *)
+   on the edge, and [bt_run], the batch's queue callback, is built with
+   the record, so steady-state batching allocates no records and no
+   closures.  The batch's landing time lives in the fabric's [batch_at],
+   unboxed. *)
 type batch = {
-  mutable bt_time : float;
   mutable bt_mark : int;
   mutable bt_fns : (unit -> unit) array;
   mutable bt_len : int;
   mutable bt_done : bool;
+  bt_run : unit -> unit;
 }
 
 type t = {
   engine : Engine.t;
   rng : Drust_util.Rng.t;
   model : Model.t;
+  (* [model.jitter], boxed once here: [Model.t] stores its floats
+     unboxed, so passing the field itself to [Rng.gaussian] would box it
+     on every verb. *)
+  jitter : float;
   nodes : int;
   metrics : Metrics.t;
   counters : verbs array;
@@ -90,6 +97,7 @@ type t = {
      batches (their scheduled events own their records). *)
   mutable batching : bool;
   batch_slots : batch option array;
+  batch_at : float array; (* landing time of each edge's latest batch *)
   (* Egress line-rate serialization: the NIC that sources a payload can
      push one stream at line rate; concurrent bulk transfers from the
      same node queue behind each other.  Small control messages are
@@ -134,11 +142,13 @@ let create ?metrics ?spans ?flight ~engine ~rng ~model ~nodes () =
     engine;
     rng;
     model;
+    jitter = model.Model.jitter;
     nodes;
     metrics;
     counters = Array.init nodes (register_verbs metrics);
     batching = true;
     batch_slots = Array.make (nodes * nodes) None;
+    batch_at = Array.make (nodes * nodes) 0.0;
     nics =
       Array.init nodes (fun _ -> Drust_sim.Resource.create engine ~capacity:1);
     spans;
@@ -279,11 +289,6 @@ let async_delivers t ~from ~target =
       end
       else true
 
-let fault_extra_latency t ~from ~target =
-  match t.fault with
-  | Some p when from <> target -> Fault.extra_latency p ~from ~target
-  | Some _ | None -> 0.0
-
 (* Serve-time view validation: a verb that carried an epoch is rejected
    if the membership view advanced while it was in flight (or the issuer
    was already behind when it posted).  Runs after the request leg's
@@ -301,20 +306,39 @@ let check_epoch t ~from ~target epoch =
       end
   | _ -> ()
 
+(* The latency arithmetic stays inside this module, in inlined helpers:
+   a float passed to or returned from a function that is not inlined is
+   boxed, so each delay boxes only the one value it hands to
+   [Engine.delay].  A verb names its base latency by class, and the
+   model field is read where the sum is formed. *)
+type verb_class = Oneside | Twoside | Atomic
+
+(* [Model.transfer_time], computed here. *)
+let[@inline] transfer t ~bytes = Float.of_int bytes /. t.model.Model.bandwidth
+
 (* Apply multiplicative gaussian jitter to a base latency, clamped so that
    a pathological sample can never be negative or more than double. *)
-let jittered t base =
-  if t.model.Model.jitter <= 0.0 then base
+let[@inline] jittered t base =
+  if t.jitter <= 0.0 then base
   else
-    let factor =
-      Drust_util.Rng.gaussian t.rng ~mu:1.0 ~sigma:t.model.Model.jitter
-    in
+    let factor = Drust_util.Rng.gaussian t.rng ~mu:1.0 ~sigma:t.jitter in
     base *. Float.max 0.5 (Float.min 2.0 factor)
 
-let latency t ~from ~target ~base ~bytes =
+let[@inline] fault_extra_latency t ~from ~target =
+  match t.fault with
+  | Some p when from <> target -> Fault.extra_latency p ~from ~target
+  | Some _ | None -> 0.0
+
+let[@inline] latency t ~from ~target ~cls ~bytes =
+  let m = t.model in
   let raw =
-    if from = target then t.model.Model.local_base +. Model.transfer_time t.model ~bytes
-    else base +. Model.transfer_time t.model ~bytes
+    if from = target then m.Model.local_base +. transfer t ~bytes
+    else
+      (match cls with
+      | Oneside -> m.Model.oneside_base
+      | Twoside -> m.Model.twoside_base
+      | Atomic -> m.Model.atomic_base)
+      +. transfer t ~bytes
   in
   jittered t raw +. fault_extra_latency t ~from ~target
 
@@ -324,28 +348,28 @@ let latency t ~from ~target ~base ~bytes =
    as a sub-span of the verb (propagation/wire -> [net.wire], waiting
    for the NIC -> [net.queue], holding it -> [net.serialize]) — the
    exact same delays and resource acquisitions happen either way. *)
-let delay_with_nic ~vt t ~data_source ~from ~target ~base ~bytes =
+let delay_with_nic ~vt t ~data_source ~from ~target ~cls ~bytes =
   if bytes >= bulk_threshold && from <> target then begin
-    let wire = Model.transfer_time t.model ~bytes in
     match vt with
     | Some { vt_sp = sp; vt_span = parent; _ } ->
         Span.with_span sp ~track:from ~parent ~category:"net.wire" "propagate"
           (fun () ->
-            Engine.delay t.engine (latency t ~from ~target ~base ~bytes:0));
+            Engine.delay t.engine (latency t ~from ~target ~cls ~bytes:0));
         let wait =
           Span.start sp ~track:from ~parent ~category:"net.queue" "nic_wait"
         in
         Drust_sim.Resource.use t.nics.(data_source) (fun () ->
             Span.finish sp wait;
             Span.with_span sp ~track:from ~parent ~category:"net.serialize"
-              "serialize" (fun () -> Engine.delay t.engine (jittered t wire)))
+              "serialize" (fun () ->
+                Engine.delay t.engine (jittered t (transfer t ~bytes))))
     | None ->
-        Engine.delay t.engine (latency t ~from ~target ~base ~bytes:0);
+        Engine.delay t.engine (latency t ~from ~target ~cls ~bytes:0);
         (* [Resource.use] without its closure: the delay cannot raise.
            The jitter is drawn after the NIC is granted, as traced. *)
         let nic = t.nics.(data_source) in
         Drust_sim.Resource.acquire nic;
-        Engine.delay t.engine (jittered t wire);
+        Engine.delay t.engine (jittered t (transfer t ~bytes));
         Drust_sim.Resource.release nic
   end
   else
@@ -353,8 +377,8 @@ let delay_with_nic ~vt t ~data_source ~from ~target ~base ~bytes =
     | Some { vt_sp = sp; vt_span = parent; _ } ->
         Span.with_span sp ~track:from ~parent ~category:"net.wire" "wire"
           (fun () ->
-            Engine.delay t.engine (latency t ~from ~target ~base ~bytes))
-    | None -> Engine.delay t.engine (latency t ~from ~target ~base ~bytes)
+            Engine.delay t.engine (latency t ~from ~target ~cls ~bytes))
+    | None -> Engine.delay t.engine (latency t ~from ~target ~cls ~bytes)
 
 let note t ~from ~target ~bytes =
   let c = t.counters.(from) in
@@ -365,8 +389,7 @@ let note t ~from ~target ~bytes =
    the target (the target's NIC is the egress); WRITE and an RPC's
    request push it from the sender. *)
 let oneside_body t ~data_source ~served ~from ~target ~bytes epoch vt =
-  delay_with_nic ~vt t ~data_source ~from ~target
-    ~base:t.model.Model.oneside_base ~bytes;
+  delay_with_nic ~vt t ~data_source ~from ~target ~cls:Oneside ~bytes;
   check_epoch t ~from ~target epoch;
   if from <> target then serve_mark vt ~target served
 
@@ -375,22 +398,20 @@ let atomic_body t ~from ~target f vt =
   | Some { vt_sp = sp; vt_span = parent; _ } ->
       Span.with_span sp ~track:from ~parent ~category:"net.wire" "wire"
         (fun () ->
-          Engine.delay t.engine
-            (latency t ~from ~target ~base:t.model.Model.atomic_base ~bytes:0))
+          Engine.delay t.engine (latency t ~from ~target ~cls:Atomic ~bytes:0))
   | None ->
-      Engine.delay t.engine
-        (latency t ~from ~target ~base:t.model.Model.atomic_base ~bytes:0));
+      Engine.delay t.engine (latency t ~from ~target ~cls:Atomic ~bytes:0));
   if from <> target then serve_mark vt ~target "SERVE(ATOMIC)";
   f ()
 
 let rpc_body t ~from ~target ~req_bytes ~resp_bytes epoch handler vt =
-  delay_with_nic ~vt t ~data_source:from ~from ~target
-    ~base:t.model.Model.twoside_base ~bytes:req_bytes;
+  delay_with_nic ~vt t ~data_source:from ~from ~target ~cls:Twoside
+    ~bytes:req_bytes;
   check_epoch t ~from ~target epoch;
   if from <> target then serve_mark vt ~target "RECV(RPC)";
   let result = handler () in
-  delay_with_nic ~vt t ~data_source:target ~from ~target
-    ~base:t.model.Model.twoside_base ~bytes:resp_bytes;
+  delay_with_nic ~vt t ~data_source:target ~from ~target ~cls:Twoside
+    ~bytes:resp_bytes;
   result
 
 let rdma_read ?parent ?epoch t ~from ~target ~bytes =
@@ -447,6 +468,12 @@ let run_batch engine b =
   done;
   b.bt_done <- true
 
+(* Queue [b]'s run at [at] as the latest batch of edge [slot]. *)
+let schedule_batch t slot b at =
+  Engine.schedule t.engine ~at b.bt_run;
+  b.bt_mark <- Engine.pushes t.engine;
+  t.batch_at.(slot) <- at
+
 (* Schedule async delivery callback [fn] to run [dt] from now on edge
    [from -> target].  When the edge's pending batch lands at the exact
    same instant and nothing has been pushed since it was created, [fn]
@@ -460,17 +487,9 @@ let deliver t ~from ~target dt fn =
   else begin
     let at = Engine.now t.engine +. dt in
     let slot = (from * t.nodes) + target in
-    let fresh () =
-      let b =
-        { bt_time = at; bt_mark = 0; bt_fns = [| fn; nop |]; bt_len = 1;
-          bt_done = false }
-      in
-      Engine.schedule t.engine ~at (fun () -> run_batch t.engine b);
-      b.bt_mark <- Engine.pushes t.engine;
-      t.batch_slots.(slot) <- Some b
-    in
     match t.batch_slots.(slot) with
-    | Some b when b.bt_time = at && Engine.pushes t.engine = b.bt_mark ->
+    | Some b when t.batch_at.(slot) = at && Engine.pushes t.engine = b.bt_mark
+      ->
         let cap = Array.length b.bt_fns in
         if b.bt_len = cap then begin
           let fns = Array.make (2 * cap) nop in
@@ -482,13 +501,18 @@ let deliver t ~from ~target dt fn =
     | Some b when b.bt_done ->
         (* Recycle the fired record: its event has run, nothing else can
            reference it. *)
-        b.bt_time <- at;
         b.bt_fns.(0) <- fn;
         b.bt_len <- 1;
         b.bt_done <- false;
-        Engine.schedule t.engine ~at (fun () -> run_batch t.engine b);
-        b.bt_mark <- Engine.pushes t.engine
-    | Some _ | None -> fresh ()
+        schedule_batch t slot b at
+    | Some _ | None ->
+        let engine = t.engine in
+        let rec b =
+          { bt_mark = 0; bt_fns = [| fn; nop |]; bt_len = 1; bt_done = false;
+            bt_run = (fun () -> run_batch engine b) }
+        in
+        schedule_batch t slot b at;
+        t.batch_slots.(slot) <- Some b
   end
 
 let rdma_write_async ?parent t ~from ~target ~bytes k =
@@ -498,7 +522,7 @@ let rdma_write_async ?parent t ~from ~target ~bytes k =
   note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_write ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
-    let dt = latency t ~from ~target ~base:t.model.Model.oneside_base ~bytes in
+    let dt = latency t ~from ~target ~cls:Oneside ~bytes in
     match t.spans with
     | Some sp when Span.is_enabled sp ->
         (* Flow edge from the posting instant to a RECV instant emitted
@@ -633,9 +657,7 @@ let send_async ?parent t ~from ~target ~bytes handler =
   note t ~from ~target ~bytes;
   fr t ~from ~kind:Flight.k_fab_send ~a:target ~b:bytes ~c:(-1);
   if async_delivers t ~from ~target then begin
-    let dt =
-      latency t ~from ~target ~base:t.model.Model.twoside_base ~bytes
-    in
+    let dt = latency t ~from ~target ~cls:Twoside ~bytes in
     let handler =
       match t.spans with
       | Some sp when Span.is_enabled sp ->

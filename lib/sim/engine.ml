@@ -9,6 +9,9 @@ type park_request =
 type t = {
   events : (unit -> unit) Drust_util.Pqueue.t;
   mutable clock : float;
+      [@dlint.allow
+        "boxed-float: holds the box Pqueue.last_time returns, so \
+         advancing the clock and Engine.now allocate nothing"]
   mutable live : int;
   mutable failures : exn list;
   mutable dispatched : int;
@@ -17,6 +20,9 @@ type t = {
   (* The request of the park being performed, set just before [Park]. *)
   mutable park_request : park_request;
   mutable park_time : float;
+      [@dlint.allow
+        "boxed-float: the one box a timed park hands to Pqueue.push, \
+         which takes its time boxed"]
   mutable park_queue : (unit -> unit) Queue.t;
   mutable park_register : proc -> unit;
 }

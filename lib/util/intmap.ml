@@ -54,50 +54,36 @@ let is_empty t = t.live = 0
    the product for any table size in practical range. *)
 let[@inline] index k mask = (k * 0x2545F4914F6CDD1D) lsr 30 land mask
 
+(* The slot holding [k], or the empty slot that ends its probe chain.
+   A loop, not a local recursive function: the closure such a function
+   captures would be allocated on every lookup. *)
+let probe keys mask k =
+  let i = ref (index k mask) in
+  let kk = ref (Array.unsafe_get keys !i) in
+  while !kk <> k && !kk <> empty_slot do
+    i := (!i + 1) land mask;
+    kk := Array.unsafe_get keys !i
+  done;
+  !i
+
 let find t k =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec go i =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then Array.unsafe_get t.vals i
-    else if kk = empty_slot then raise Not_found
-    else go ((i + 1) land mask)
-  in
-  go (index k mask)
+  let i = probe t.keys t.mask k in
+  if Array.unsafe_get t.keys i = k then Array.unsafe_get t.vals i
+  else raise Not_found
 
 let find_opt t k =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec go i =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then Some (Array.unsafe_get t.vals i)
-    else if kk = empty_slot then None
-    else go ((i + 1) land mask)
-  in
-  go (index k mask)
+  let i = probe t.keys t.mask k in
+  if Array.unsafe_get t.keys i = k then Some (Array.unsafe_get t.vals i)
+  else None
 
-let mem t k =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec go i =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then true
-    else if kk = empty_slot then false
-    else go ((i + 1) land mask)
-  in
-  go (index k mask)
+let mem t k = Array.unsafe_get t.keys (probe t.keys t.mask k) = k
 
 (* Insert into a table known to contain neither [k] nor any tombstone
-   (used during rehash). *)
+   (used during rehash): the probe ends at the first empty slot. *)
 let insert_fresh keys vals mask k v =
-  let rec go i =
-    if Array.unsafe_get keys i = empty_slot then begin
-      Array.unsafe_set keys i k;
-      Array.unsafe_set vals i v
-    end
-    else go ((i + 1) land mask)
-  in
-  go (index k mask)
+  let i = probe keys mask k in
+  Array.unsafe_set keys i k;
+  Array.unsafe_set vals i v
 
 let rehash t cap =
   let keys = Array.make cap empty_slot in
@@ -122,39 +108,34 @@ let set t k v =
   let keys = t.keys in
   let mask = t.mask in
   (* [ins] is the first tombstone crossed, reusable if [k] is absent. *)
-  let rec go i ins =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then Array.unsafe_set t.vals i v
-    else if kk = empty_slot then begin
-      if ins >= 0 then begin
-        Array.unsafe_set keys ins k;
-        Array.unsafe_set t.vals ins v
-      end
-      else begin
-        Array.unsafe_set keys i k;
-        Array.unsafe_set t.vals i v;
-        t.used <- t.used + 1
-      end;
-      t.live <- t.live + 1
+  let i = ref (index k mask) and ins = ref (-1) in
+  let kk = ref (Array.unsafe_get keys !i) in
+  while !kk <> k && !kk <> empty_slot do
+    if !kk = tombstone && !ins < 0 then ins := !i;
+    i := (!i + 1) land mask;
+    kk := Array.unsafe_get keys !i
+  done;
+  if !kk = k then Array.unsafe_set t.vals !i v
+  else begin
+    if !ins >= 0 then begin
+      Array.unsafe_set keys !ins k;
+      Array.unsafe_set t.vals !ins v
     end
-    else if kk = tombstone && ins < 0 then go ((i + 1) land mask) i
-    else go ((i + 1) land mask) ins
-  in
-  go (index k mask) (-1)
+    else begin
+      Array.unsafe_set keys !i k;
+      Array.unsafe_set t.vals !i v;
+      t.used <- t.used + 1
+    end;
+    t.live <- t.live + 1
+  end
 
 let remove t k =
-  let keys = t.keys in
-  let mask = t.mask in
-  let rec go i =
-    let kk = Array.unsafe_get keys i in
-    if kk = k then begin
-      Array.unsafe_set keys i tombstone;
-      Array.unsafe_set t.vals i (dummy ());
-      t.live <- t.live - 1
-    end
-    else if kk <> empty_slot then go ((i + 1) land mask)
-  in
-  go (index k mask)
+  let i = probe t.keys t.mask k in
+  if Array.unsafe_get t.keys i = k then begin
+    Array.unsafe_set t.keys i tombstone;
+    Array.unsafe_set t.vals i (dummy ());
+    t.live <- t.live - 1
+  end
 
 let iter f t =
   let keys = t.keys and vals = t.vals in

@@ -66,20 +66,31 @@ type 'a heap = {
   mutable h_len : int;
 }
 
+(* The queue's float state other than [cur_time], in an all-float record
+   so its fields are stored unboxed and writing them allocates nothing. *)
+type times = {
+  mutable now_time : float; (* shared time of the now ring's entries *)
+  (* Calendar window [win_lo, win_hi) over buckets [0, nb). *)
+  mutable win_lo : float;
+  mutable win_hi : float; (* neg_infinity = no window *)
+}
+
 type 'a t = {
   mutable next_seq : int;
   mutable count : int;
   mutable cur_time : float; (* time of the last popped entry *)
-  (* Now ring: all entries share [now_time]; seqs are FIFO. *)
-  mutable now_time : float;
+      [@dlint.allow
+        "boxed-float: last_time hands out this box, so the engine reads \
+         the clock without allocating; pop_exn replaces it only when the \
+         popped time changes"]
+  times : times;
+  (* Now ring: all entries share [times.now_time]; seqs are FIFO. *)
   mutable now_seq : int array;
   mutable now_val : 'a array;
   mutable now_head : int;
   mutable now_len : int;
-  (* Calendar window [win_lo, win_hi) over buckets [0, nb). *)
+  (* Calendar buckets over the window [times.win_lo, times.win_hi). *)
   buckets : 'a bucket array;
-  mutable win_lo : float;
-  mutable win_hi : float; (* neg_infinity = no window *)
   mutable cb : int; (* current (lowest live) bucket index *)
   mutable cal_count : int; (* unconsumed entries across all buckets *)
   heap : 'a heap; (* overflow: far-future timers *)
@@ -94,7 +105,8 @@ let create () =
     next_seq = 0;
     count = 0;
     cur_time = neg_infinity;
-    now_time = neg_infinity;
+    times =
+      { now_time = neg_infinity; win_lo = infinity; win_hi = neg_infinity };
     now_seq = [||];
     now_val = [||];
     now_head = 0;
@@ -102,8 +114,6 @@ let create () =
     buckets =
       Array.init nb (fun _ ->
           { b_time = [||]; b_seq = [||]; b_val = [||]; b_len = 0; b_off = 0 });
-    win_lo = infinity;
-    win_hi = neg_infinity;
     cb = 0;
     cal_count = 0;
     heap = make_heap ();
@@ -258,16 +268,16 @@ let ring_push t ~seq v =
 
 (* ------------------------------- push ------------------------------- *)
 
-let bucket_index t time = int_of_float ((time -. t.win_lo) *. inv_width)
+let bucket_index t time = int_of_float ((time -. t.times.win_lo) *. inv_width)
 
 let push t ~time value =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.count <- t.count + 1;
   if t.now_len > 0 then begin
-    if time = t.now_time then ring_push t ~seq value
+    if time = t.times.now_time then ring_push t ~seq value
     else if time < t.cur_time then heap_push t.early ~time ~seq value
-    else if time < t.win_hi then begin
+    else if time < t.times.win_hi then begin
       let i = bucket_index t time in
       let i = if i < t.cb then t.cb else i in
       bucket_insert t.buckets.(i) ~time ~seq value;
@@ -275,10 +285,11 @@ let push t ~time value =
     end
     else if t.cal_count = 0 && time > t.cur_time then begin
       (* Re-anchor an exhausted (or absent) window at the current time. *)
-      t.win_lo <- (if t.cur_time > neg_infinity then t.cur_time else time);
-      t.win_hi <- t.win_lo +. (float_of_int nb *. width);
+      t.times.win_lo <-
+        (if t.cur_time > neg_infinity then t.cur_time else time);
+      t.times.win_hi <- t.times.win_lo +. (float_of_int nb *. width);
       t.cb <- 0;
-      if time < t.win_hi then begin
+      if time < t.times.win_hi then begin
         bucket_insert t.buckets.(bucket_index t time) ~time ~seq value;
         t.cal_count <- 1
       end
@@ -287,21 +298,21 @@ let push t ~time value =
     else heap_push t.heap ~time ~seq value
   end
   else if time = t.cur_time then begin
-    t.now_time <- time;
+    t.times.now_time <- time;
     ring_push t ~seq value
   end
   else if time < t.cur_time then heap_push t.early ~time ~seq value
-  else if time < t.win_hi then begin
+  else if time < t.times.win_hi then begin
     let i = bucket_index t time in
     let i = if i < t.cb then t.cb else i in
     bucket_insert t.buckets.(i) ~time ~seq value;
     t.cal_count <- t.cal_count + 1
   end
   else if t.cal_count = 0 then begin
-    t.win_lo <- (if t.cur_time > neg_infinity then t.cur_time else time);
-    t.win_hi <- t.win_lo +. (float_of_int nb *. width);
+    t.times.win_lo <- (if t.cur_time > neg_infinity then t.cur_time else time);
+    t.times.win_hi <- t.times.win_lo +. (float_of_int nb *. width);
     t.cb <- 0;
-    if time < t.win_hi then begin
+    if time < t.times.win_hi then begin
       bucket_insert t.buckets.(bucket_index t time) ~time ~seq value;
       t.cal_count <- 1
     end
@@ -316,13 +327,13 @@ let push t ~time value =
    Heap pops come out in ascending (time, seq) order, so plain appends
    keep every bucket sorted. *)
 let migrate t =
-  t.win_lo <- t.heap.h_time.(0);
-  t.win_hi <- t.win_lo +. (float_of_int nb *. width);
+  t.times.win_lo <- t.heap.h_time.(0);
+  t.times.win_hi <- t.times.win_lo +. (float_of_int nb *. width);
   t.cb <- 0;
   let continue_ = ref true in
   while !continue_ && t.heap.h_len > 0 do
     let time = t.heap.h_time.(0) in
-    if time >= t.win_hi then continue_ := false
+    if time >= t.times.win_hi then continue_ := false
     else begin
       let i = bucket_index t time in
       if i >= nb then continue_ := false
@@ -356,8 +367,11 @@ let src_bucket = 3
 let src_heap = 4
 
 (* Remove and return the global (time, seq) minimum; caller ensures
-   [count > 0].  Allocation-free: the popped time is left in
-   [cur_time] for the engine to read. *)
+   [count > 0].  The popped time is left in [cur_time] for the engine to
+   read.  Storing a float into this mixed record boxes it, so the field
+   is rewritten only when the popped time differs bit for bit: every pop
+   at the current instant (most of them) allocates nothing, and [-0.0]
+   stays distinct from [0.0]. *)
 let pop_exn t =
   if t.count = 0 then invalid_arg "Pqueue.pop_exn: empty queue";
   if
@@ -374,10 +388,10 @@ let pop_exn t =
   end;
   if
     t.now_len > 0
-    && (t.now_time < !best_time
-       || (t.now_time = !best_time && t.now_seq.(t.now_head) < !best_seq))
+    && (t.times.now_time < !best_time
+       || (t.times.now_time = !best_time && t.now_seq.(t.now_head) < !best_seq))
   then begin
-    best_time := t.now_time;
+    best_time := t.times.now_time;
     best_seq := t.now_seq.(t.now_head);
     src := src_now
   end;
@@ -425,7 +439,9 @@ let pop_exn t =
       v
     end
   in
-  t.cur_time <- !best_time;
+  let bt = !best_time in
+  if Int64.bits_of_float bt <> Int64.bits_of_float t.cur_time then
+    t.cur_time <- bt;
   t.count <- t.count - 1;
   v
 
@@ -447,7 +463,7 @@ let peek_time t =
     then migrate t;
     let best = ref infinity in
     if t.early.h_len > 0 then best := t.early.h_time.(0);
-    if t.now_len > 0 && t.now_time < !best then best := t.now_time;
+    if t.now_len > 0 && t.times.now_time < !best then best := t.times.now_time;
     if t.cal_count > 0 then begin
       let b = advance_cb t in
       if b.b_time.(b.b_off) < !best then best := b.b_time.(b.b_off)
@@ -460,7 +476,7 @@ let peek_time t =
 let clear t =
   t.count <- 0;
   t.cur_time <- neg_infinity;
-  t.now_time <- neg_infinity;
+  t.times.now_time <- neg_infinity;
   t.now_seq <- [||];
   t.now_val <- [||];
   t.now_head <- 0;
@@ -473,8 +489,8 @@ let clear t =
       b.b_len <- 0;
       b.b_off <- 0)
     t.buckets;
-  t.win_lo <- infinity;
-  t.win_hi <- neg_infinity;
+  t.times.win_lo <- infinity;
+  t.times.win_hi <- neg_infinity;
   t.cb <- 0;
   t.cal_count <- 0;
   t.heap.h_time <- [||];

@@ -31,9 +31,11 @@ val pop : 'a t -> (float * 'a) option
     equal times. *)
 
 val pop_exn : 'a t -> 'a
-(** Allocation-free variant of {!pop}: returns the value alone and
-    leaves its timestamp readable via {!last_time}.  Raises
-    [Invalid_argument] on an empty queue. *)
+(** Variant of {!pop} that returns the value alone and leaves its
+    timestamp readable via {!last_time}.  It boxes the timestamp only
+    when it differs from the previous pop's, so a pop at the current
+    instant allocates nothing.  Raises [Invalid_argument] on an empty
+    queue. *)
 
 val last_time : 'a t -> float
 (** Time of the most recently popped element ([neg_infinity] before the

@@ -109,7 +109,9 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+(* Inlined so that [exponential] and [gaussian] keep their draws
+   unboxed and box only their result. *)
+let[@inline] float t bound =
   (* The top 53 bits give a uniform float in [0, 1). *)
   step t;
   let mantissa = (t.z_hi lsl 21) lor (t.z_lo lsr 11) in

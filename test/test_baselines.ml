@@ -148,6 +148,20 @@ let test_gam_bounded_cache_evicts () =
       ignore (Gam.read g ctx (List.hd objs));
       Alcotest.(check bool) "evicted object re-faults" true (Gam.read_misses g > 0))
 
+(* An object larger than the whole cache budget (6 MiB by default) stays
+   resident alone instead of evicting itself forever; a second read
+   hits. *)
+let test_gam_oversized_object () =
+  in_cluster (fun cluster ctx ->
+      let g = Gam.create cluster in
+      let h =
+        Gam.alloc_on g ctx ~node:1 ~size:(Drust_util.Units.mib 8) (pack 7)
+      in
+      Alcotest.(check int) "read" 7 (unpack (Gam.read g ctx h));
+      Gam.reset_stats g;
+      Alcotest.(check int) "reread" 7 (unpack (Gam.read g ctx h));
+      Alcotest.(check int) "resident: no new miss" 0 (Gam.read_misses g))
+
 let test_gam_mutex_serializes () =
   in_cluster (fun cluster ctx ->
       let backend = Gam.backend (Gam.create cluster) in
@@ -316,6 +330,8 @@ let () =
           Alcotest.test_case "false sharing" `Quick test_gam_false_sharing;
           Alcotest.test_case "spans blocks" `Quick test_gam_small_object_spans_blocks;
           Alcotest.test_case "bounded cache" `Quick test_gam_bounded_cache_evicts;
+          Alcotest.test_case "oversized object" `Quick
+            test_gam_oversized_object;
           Alcotest.test_case "mutex serializes" `Quick test_gam_mutex_serializes;
         ] );
       ( "grappa",

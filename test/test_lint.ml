@@ -41,6 +41,15 @@ let test_globals_fixture () =
     [ ("globals", 5, 0); ("globals", 9, 2) ]
     (run [ fx "lib/globals_violation.ml" ])
 
+let test_boxed_float_fixture () =
+  (* The all-float record, the immutable float and the allowed field are
+     not findings; the submodule's record is. *)
+  let res = run [ fx "lib/boxed_float.ml" ] in
+  check_triples "boxed-float findings"
+    [ ("boxed-float", 4, 30); ("boxed-float", 14, 23) ]
+    res;
+  Alcotest.(check int) "allow used" 1 res.Dlint.allows_used
+
 let test_ownership_borrow_escape () =
   let res = run [ fx "examples/borrow_escape.ml" ] in
   check_triples "borrow escape" [ ("ownership", 3, 36) ] res;
@@ -79,8 +88,8 @@ let test_clean_file_with_used_allow () =
 
 let test_corpus_walk () =
   let res = run [ "lint_fixtures" ] in
-  Alcotest.(check int) "files walked" 7 res.Dlint.files_scanned;
-  Alcotest.(check int) "all seeded findings" 15
+  Alcotest.(check int) "files walked" 8 res.Dlint.files_scanned;
+  Alcotest.(check int) "all seeded findings" 17
     (List.length res.Dlint.diagnostics)
 
 let test_only_selects_one_pass () =
@@ -147,6 +156,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism_fixture;
           Alcotest.test_case "globals" `Quick test_globals_fixture;
+          Alcotest.test_case "boxed-float" `Quick test_boxed_float_fixture;
           Alcotest.test_case "ownership: borrow escape" `Quick
             test_ownership_borrow_escape;
           Alcotest.test_case "ownership: lock leak" `Quick

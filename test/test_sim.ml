@@ -418,33 +418,117 @@ let test_dispatch_order_pinned () =
   Alcotest.(check int) "dispatched" 46 (Engine.dispatched e);
   Alcotest.(check int) "pushes" 46 (Engine.pushes e)
 
-(* Blocking must not allocate per call beyond the continuation and the
-   queue entry: 100 k delays and 100 k yields in one process, at most 12
-   minor words each (the closure-per-park engine allocated 40 and 37). *)
+(* ------------------------------------------------------------------ *)
+(* Allocation guards: minor words per call on the hot path, measured
+   over 100 k calls with [Gc.minor_words] inside one process after one
+   warm-up call.  Allocation is deterministic, so each ceiling sits one
+   word above the measured value: any boxing that creeps back in fails
+   here rather than as a benchmark drift. *)
+
+let alloc_calls = 100_000
+
+(* [setup] runs inside the measuring process and returns the call to
+   measure, so the call may block. *)
+let words_per_call e setup =
+  let per_call = ref Float.nan in
+  ignore
+    (Engine.spawn e (fun () ->
+         let op = setup () in
+         op ();
+         let w0 = Gc.minor_words () in
+         for _ = 1 to alloc_calls do
+           op ()
+         done;
+         per_call := (Gc.minor_words () -. w0) /. Float.of_int alloc_calls));
+  Engine.run e;
+  !per_call
+
+let check_words name ~limit w =
+  if not (w <= limit) then
+    Alcotest.failf "%s allocates %.1f minor words per call (limit %g)" name w
+      limit
+
+let delay_words () =
+  let e = Engine.create () in
+  words_per_call e (fun () () -> Engine.delay e 1e-6)
+
+(* A yield allocates its continuation and nothing else (4 words); a
+   delay also boxes its wake-up time and the clock it advances to (8).
+   The closure-per-park engine allocated 40 and 37. *)
 let test_park_allocation () =
-  let calls = 100_000 in
-  let words_per_call block =
+  check_words "Engine.delay" ~limit:9.2 (delay_words ());
+  let e = Engine.create () in
+  check_words "Engine.yield" ~limit:5.0
+    (words_per_call e (fun () () -> Engine.yield e))
+
+(* Jitter stays on: the gaussian draw is part of every verb. *)
+let test_fabric_allocation () =
+  let fabric () =
     let e = Engine.create () in
-    let per_call = ref Float.nan in
-    ignore
-      (Engine.spawn e (fun () ->
-           block e;
-           let w0 = Gc.minor_words () in
-           for _ = 1 to calls do
-             block e
-           done;
-           per_call := (Gc.minor_words () -. w0) /. Float.of_int calls));
-    Engine.run e;
-    !per_call
+    ( e,
+      Fabric.create ~engine:e ~rng:(Drust_util.Rng.create ~seed:1)
+        ~model:Model.infiniband_40g ~nodes:2 () )
   in
-  let check name block =
-    let w = words_per_call block in
-    if not (w <= 12.0) then
-      Alcotest.failf "%s allocates %.1f minor words per call (limit 12)" name
-        w
+  let e, f = fabric () in
+  check_words "Fabric.rdma_read" ~limit:13.3
+    (words_per_call e (fun () () ->
+         Fabric.rdma_read f ~from:0 ~target:1 ~bytes:512));
+  let e, f = fabric () in
+  check_words "Fabric.rpc" ~limit:25.3
+    (words_per_call e (fun () () ->
+         Fabric.rpc f ~from:0 ~target:1 ~req_bytes:64 ~resp_bytes:64 ignore))
+
+let cluster () =
+  Drust_machine.Cluster.create
+    { Drust_machine.Params.default with Drust_machine.Params.nodes = 2 }
+
+let test_ctx_allocation () =
+  let c = cluster () in
+  let module Ctx = Drust_machine.Ctx in
+  let ctx = Ctx.make c ~node:0 in
+  (* Below the flush grain a charge only accumulates; one call in 52
+     flushes. *)
+  check_words "Ctx.charge_cycles" ~limit:1.3
+    (words_per_call (Drust_machine.Cluster.engine c) (fun () () ->
+         Ctx.charge_cycles ctx 100.0));
+  (* A compute always flushes: one core acquire, delay and release. *)
+  check_words "Ctx.compute" ~limit:11.2
+    (words_per_call (Drust_machine.Cluster.engine c) (fun () () ->
+         Ctx.compute ctx ~cycles:100.0))
+
+let test_metrics_allocation () =
+  let h = Drust_obs.Metrics.histogram (Drust_obs.Metrics.create ()) "lat" in
+  check_words "Metrics.observe" ~limit:1.0
+    (words_per_call (Engine.create ()) (fun () () ->
+         Drust_obs.Metrics.observe h 3e-6))
+
+(* The clock advances between calls, so every acquire and release
+   integrates utilisation; the delay's own words are subtracted. *)
+let test_resource_allocation () =
+  let e = Engine.create () in
+  let r = Resource.create e ~capacity:1 in
+  let w =
+    words_per_call e (fun () () ->
+        Engine.delay e 1e-6;
+        Resource.acquire r;
+        Resource.release r)
   in
-  check "Engine.delay" (fun e -> Engine.delay e 1e-6);
-  check "Engine.yield" Engine.yield
+  check_words "Resource.acquire/release" ~limit:1.0 (w -. delay_words ())
+
+let test_grappa_allocation () =
+  let c = cluster () in
+  let module Grappa = Drust_grappa.Grappa in
+  let g = Grappa.create c in
+  let ctx = Drust_machine.Ctx.make c ~node:0 in
+  let tag : int Drust_util.Univ.tag =
+    Drust_util.Univ.create_tag ~name:"alloc"
+  in
+  check_words "remote Grappa.read" ~limit:67.1
+    (words_per_call (Drust_machine.Cluster.engine c) (fun () ->
+         let h =
+           Grappa.alloc_on g ctx ~node:1 ~size:64 (Drust_util.Univ.pack tag 0)
+         in
+         fun () -> ignore (Grappa.read g ctx h)))
 
 (* Property: however many processes contend, a resource never exceeds its
    capacity and always drains back to zero. *)
@@ -493,6 +577,15 @@ let () =
           Alcotest.test_case "dispatch order pinned" `Quick
             test_dispatch_order_pinned;
           Alcotest.test_case "park allocation" `Quick test_park_allocation;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "fabric verbs" `Quick test_fabric_allocation;
+          Alcotest.test_case "ctx charges" `Quick test_ctx_allocation;
+          Alcotest.test_case "metrics observe" `Quick test_metrics_allocation;
+          Alcotest.test_case "resource acquire/release" `Quick
+            test_resource_allocation;
+          Alcotest.test_case "remote grappa read" `Quick test_grappa_allocation;
         ] );
       ( "mailbox",
         [
