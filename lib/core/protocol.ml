@@ -191,14 +191,16 @@ let[@inline] finish_op ctx hists ~default ~saved_kind ~saved_span ~sp ~t0 ~p0 =
   ctx.Ctx.current_span <- saved_span;
   ctx.Ctx.op_kind <- saved_kind
 
-(* Wrap one protocol-level operation: always observe its end-to-end
-   latency (elapsed virtual time plus compute charged but not yet
-   flushed — both pure reads of existing state, so measurement never
+(* Wrap one protocol-level operation, [body ctx x y]: always observe its
+   end-to-end latency (elapsed virtual time plus compute charged but not
+   yet flushed — both pure reads of existing state, so measurement never
    perturbs the run), and, when tracing is enabled, open a root span the
    operation's fabric verbs and core waits parent under.  [ctx.op_kind]
    starts unset (-1) and the branch that decides the outcome overwrites
-   it; [default] covers operations with a single outcome. *)
-let measure_op ctx ~default f =
+   it; [default] covers operations with a single outcome.  [body] is a
+   toplevel function and its arguments are passed alongside, so a call
+   builds no closure; an op with one argument passes [()] as [y]. *)
+let measure_op ctx ~default body x y =
   let cluster = Ctx.cluster ctx in
   let hists = hists_of cluster (pstate_of ctx) in
   let saved_kind = ctx.Ctx.op_kind in
@@ -218,7 +220,7 @@ let measure_op ctx ~default f =
     end
     else None
   in
-  match f () with
+  match body ctx x y with
   | v ->
       finish_op ctx hists ~default ~saved_kind ~saved_span ~sp ~t0 ~p0;
       v
@@ -359,7 +361,13 @@ let assert_live live context =
 (* Transitive affinity group rooted at [o], including [o] itself. *)
 let rec group o = o :: List.concat_map group o.children
 
-let group_size o = List.fold_left (fun acc m -> acc + m.size) 0 (group o)
+(* Bytes of [group o], summed without building the list: [borrow_imm]
+   sizes its batched fetch on every borrow. *)
+let rec group_size o = o.size + children_size o.children
+
+and children_size = function
+  | [] -> 0
+  | c :: rest -> group_size c + children_size rest
 
 (* Cluster-wide invalidation of cached copies for a physical address that
    is being deallocated or moved away (App. B.4).  In the real system this
@@ -470,6 +478,23 @@ let mut_gaddr m = m.m_g
 (* Shared fetch path: read a remote object (and its affinity group)    *)
 (* into the local cache under its colored address.                     *)
 
+(* Seed the local cache with every member of the [children] groups, in
+   [group] order.  Nobody pins a prefetched copy yet.  Plain recursion, so
+   an owner without affinity children costs no closure. *)
+let rec prefetch_groups ctx cluster = function
+  | [] -> ()
+  | member :: rest ->
+      if Cluster.heap_mem cluster member.g then begin
+        let e = Cluster.heap_read cluster member.g in
+        let c =
+          Cache.insert (cache_of ctx) member.g ~size:member.size
+            e.Partition.value
+        in
+        Cache.release (cache_of ctx) c
+      end;
+      prefetch_groups ctx cluster member.children;
+      prefetch_groups ctx cluster rest
+
 let fetch_into_cache ctx ~g ~size ~group_bytes ~children =
   let cluster = Ctx.cluster ctx in
   Metrics.incr (stats_of ctx).fetches;
@@ -483,21 +508,7 @@ let fetch_into_cache ctx ~g ~size ~group_bytes ~children =
   let copy = Cache.insert (cache_of ctx) g ~size entry.Partition.value in
   (* The batched verb carried the children too: seed the local cache so
      their dereferences are local (the TBox guarantee, §4.1.3). *)
-  List.iter
-    (fun child ->
-      List.iter
-        (fun member ->
-          if Cluster.heap_mem cluster member.g then begin
-            let e = Cluster.heap_read cluster member.g in
-            let c =
-              Cache.insert (cache_of ctx) member.g ~size:member.size
-                e.Partition.value
-            in
-            (* Nobody pins the prefetched copy yet. *)
-            Cache.release (cache_of ctx) c
-          end)
-        (group child))
-    children;
+  prefetch_groups ctx cluster children;
   copy
 
 (* ------------------------------------------------------------------ *)
@@ -530,7 +541,7 @@ let clone_imm ctx r =
      the clone starts null (App. D.2). *)
   { r with i_copy = None }
 
-let imm_deref_inner ctx r =
+let imm_deref_inner ctx r () =
   assert_live r.i_live "Protocol.imm_deref";
   let cluster = Ctx.cluster ctx in
   if is_local ctx r.i_g then begin
@@ -551,14 +562,14 @@ let imm_deref_inner ctx r =
         let cache = cache_of ctx in
         charge_cache_hit ctx;
         match Cache.lookup cache r.i_g with
-        | Some copy ->
+        | copy ->
             tag ctx k_read_cached;
             fr_read ctx ~kind:Flight.k_read_cached ~g:r.i_g
               ~d:(Gaddr.color_of copy.Cache.key);
             Cache.retain copy;
             r.i_copy <- Some copy;
             copy.Cache.value
-        | None ->
+        | exception Not_found ->
             tag ctx k_read_fetch;
             fr_read ctx ~kind:Flight.k_read_fetch ~g:r.i_g ~d:0;
             let copy =
@@ -569,8 +580,7 @@ let imm_deref_inner ctx r =
             copy.Cache.value)
   end
 
-let imm_deref ctx r =
-  measure_op ctx ~default:k_read_local (fun () -> imm_deref_inner ctx r)
+let imm_deref ctx r = measure_op ctx ~default:k_read_local imm_deref_inner r ()
 
 let drop_imm ctx r =
   assert_live r.i_live "Protocol.drop_imm";
@@ -750,24 +760,29 @@ let heap_slot_write ctx m v =
     Cluster.heap_write cluster m.m_g v
   end
 
-let mut_read ctx m =
-  measure_op ctx ~default:k_read_local (fun () ->
-      assert_live m.m_live "Protocol.mut_read";
-      mut_claim ctx m ~for_write:false;
-      heap_slot_read ctx m)
+let mut_read_inner ctx m () =
+  assert_live m.m_live "Protocol.mut_read";
+  mut_claim ctx m ~for_write:false;
+  heap_slot_read ctx m
+
+let mut_write_inner ctx m v =
+  assert_live m.m_live "Protocol.mut_write";
+  mut_claim ctx m ~for_write:true;
+  heap_slot_write ctx m v
+
+let mut_modify_inner ctx m f =
+  assert_live m.m_live "Protocol.mut_modify";
+  mut_claim ctx m ~for_write:true;
+  let v = heap_slot_read ctx m in
+  heap_slot_write ctx m (f v)
+
+let mut_read ctx m = measure_op ctx ~default:k_read_local mut_read_inner m ()
 
 let mut_write ctx m v =
-  measure_op ctx ~default:k_write_inplace (fun () ->
-      assert_live m.m_live "Protocol.mut_write";
-      mut_claim ctx m ~for_write:true;
-      heap_slot_write ctx m v)
+  measure_op ctx ~default:k_write_inplace mut_write_inner m v
 
 let mut_modify ctx m f =
-  measure_op ctx ~default:k_write_inplace (fun () ->
-      assert_live m.m_live "Protocol.mut_modify";
-      mut_claim ctx m ~for_write:true;
-      let v = heap_slot_read ctx m in
-      heap_slot_write ctx m (f v))
+  measure_op ctx ~default:k_write_inplace mut_modify_inner m f
 
 let drop_mut ctx m =
   assert_live m.m_live "Protocol.drop_mut";
@@ -792,7 +807,7 @@ let drop_mut ctx m =
 (* Owner access without borrow (Alg. 7/8): a direct access behaves as a
    borrow-and-return pair.                                             *)
 
-let owner_read_inner ctx o =
+let owner_read_inner ctx o () =
   assert_valid o "Protocol.owner_read";
   Borrow_state.assert_owner_readable o.borrow ~context:"Protocol.owner_read";
   let cluster = Ctx.cluster ctx in
@@ -825,14 +840,14 @@ let owner_read_inner ctx o =
         let cache = cache_of ctx in
         charge_cache_hit ctx;
         match Cache.lookup cache o.g with
-        | Some copy ->
+        | copy ->
             tag ctx k_read_cached;
             fr_read ctx ~kind:Flight.k_read_cached ~g:o.g
               ~d:(Gaddr.color_of copy.Cache.key);
             Cache.retain copy;
             o.local_copy <- Some copy;
             copy.Cache.value
-        | None ->
+        | exception Not_found ->
             tag ctx k_read_fetch;
             fr_read ctx ~kind:Flight.k_read_fetch ~g:o.g ~d:0;
             let copy =
@@ -843,8 +858,7 @@ let owner_read_inner ctx o =
             copy.Cache.value)
   end
 
-let owner_read ctx o =
-  measure_op ctx ~default:k_read_local (fun () -> owner_read_inner ctx o)
+let owner_read ctx o = measure_op ctx ~default:k_read_local owner_read_inner o ()
 
 let owner_claim_mut ctx o =
   let cluster = Ctx.cluster ctx in
@@ -933,7 +947,7 @@ let owner_write_inner ctx o v =
   notify_commit ctx o.g o.size
 
 let owner_write ctx o v =
-  measure_op ctx ~default:k_write_inplace (fun () -> owner_write_inner ctx o v)
+  measure_op ctx ~default:k_write_inplace owner_write_inner o v
 
 let owner_modify_inner ctx o f =
   assert_valid o "Protocol.owner_modify";
@@ -961,12 +975,12 @@ let owner_modify_inner ctx o f =
   notify_commit ctx o.g o.size
 
 let owner_modify ctx o f =
-  measure_op ctx ~default:k_write_inplace (fun () -> owner_modify_inner ctx o f)
+  measure_op ctx ~default:k_write_inplace owner_modify_inner o f
 
 (* ------------------------------------------------------------------ *)
 (* Ownership transfer, deallocation                                    *)
 
-let transfer_inner ctx o ~to_node =
+let transfer_inner ctx o to_node =
   assert_valid o "Protocol.transfer";
   Borrow_state.transfer o.borrow ~context:"Protocol.transfer";
   (* Evict this node's cached copy to avoid cache leakage (§4.1.1,
@@ -985,9 +999,9 @@ let transfer_inner ctx o ~to_node =
   notify_transfer ctx o.g
 
 let transfer ctx o ~to_node =
-  measure_op ctx ~default:k_transfer (fun () -> transfer_inner ctx o ~to_node)
+  measure_op ctx ~default:k_transfer transfer_inner o to_node
 
-let rec drop_owner_inner ctx o =
+let rec drop_owner_inner ctx o () =
   assert_valid o "Protocol.drop_owner";
   Borrow_state.kill o.borrow ~context:"Protocol.drop_owner";
   o.valid <- false;
@@ -998,7 +1012,7 @@ let rec drop_owner_inner ctx o =
   o.local_copy <- None;
   (* Drop every owned child first, then the object itself. *)
   List.iter
-    (fun child -> if child.valid then drop_owner_inner ctx child)
+    (fun child -> if child.valid then drop_owner_inner ctx child ())
     o.children;
   o.children <- [];
   let cluster = Ctx.cluster ctx in
@@ -1010,8 +1024,7 @@ let rec drop_owner_inner ctx o =
   end
   else async_dealloc ctx o.g
 
-let drop_owner ctx o =
-  measure_op ctx ~default:k_drop (fun () -> drop_owner_inner ctx o)
+let drop_owner ctx o = measure_op ctx ~default:k_drop drop_owner_inner o ()
 
 (* ------------------------------------------------------------------ *)
 (* Affinity (TBox)                                                     *)
@@ -1088,7 +1101,7 @@ let audit cluster =
           Array.iter
             (fun n ->
               match Cache.lookup n.Cluster.cache o.g with
-              | Some copy ->
+              | copy ->
                   if
                     ((copy.Cache.value != heap_value)
                     [@dlint.allow
@@ -1098,7 +1111,7 @@ let audit cluster =
                   then
                     note "node %d caches a stale value for %s" n.Cluster.id
                       (Format.asprintf "%a" Gaddr.pp o.g)
-              | None -> ())
+              | exception Not_found -> ())
             (Cluster.nodes cluster)
         end
       end)

@@ -18,13 +18,35 @@ let mutex_of = function M m -> m | _ -> Dsm.foreign "drust"
    publishes it).  Under real DRust such code holds borrows for an
    instant each; when two instants collide, the loser simply borrows a
    moment later.  We model that by retrying the borrow after a short
-   backoff when the dynamic checker reports a conflict. *)
-let rec with_borrow_retry ctx tries f =
-  match f () with
+   backoff when the dynamic checker reports a conflict.  [once] is one
+   of the toplevel borrow-access-drop bodies below and takes its
+   arguments alongside, so an access builds no closure. *)
+let rec with_borrow_retry ctx tries once o x =
+  match once ctx o x with
   | v -> v
   | exception Drust_ownership.Borrow_state.Violation _ when tries < 200_000 ->
       Drust_sim.Engine.delay (Ctx.engine ctx) 1e-6;
-      with_borrow_retry ctx (tries + 1) f
+      with_borrow_retry ctx (tries + 1) once o x
+
+let read_once ctx o () =
+  let r = Protocol.borrow_imm ctx o in
+  let v = Protocol.imm_deref ctx r in
+  Protocol.drop_imm ctx r;
+  v
+
+let write_once ctx o v =
+  let m = Protocol.borrow_mut ctx o in
+  Protocol.mut_write ctx m v;
+  Protocol.drop_mut ctx m
+
+let update_once ctx o f =
+  let m = Protocol.borrow_mut ctx o in
+  Protocol.mut_modify ctx m f;
+  Protocol.drop_mut ctx m
+
+let read ctx h = with_borrow_retry ctx 0 read_once (owner_of h) ()
+let write ctx h v = with_borrow_retry ctx 0 write_once (owner_of h) v
+let update ctx h f = with_borrow_retry ctx 0 update_once (owner_of h) f
 
 let create cluster =
   ignore cluster;
@@ -32,55 +54,19 @@ let create cluster =
     Dsm.name = "DRust";
     alloc = (fun ctx ~size v -> H (Protocol.create ctx ~size v));
     alloc_on = (fun ctx ~node ~size v -> H (Protocol.create_on ctx ~node ~size v));
-    read =
-      (fun ctx h ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let r = Protocol.borrow_imm ctx o in
-            let v = Protocol.imm_deref ctx r in
-            Protocol.drop_imm ctx r;
-            v));
-    write =
-      (fun ctx h v ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let m = Protocol.borrow_mut ctx o in
-            Protocol.mut_write ctx m v;
-            Protocol.drop_mut ctx m));
-    update =
-      (fun ctx h f ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let m = Protocol.borrow_mut ctx o in
-            Protocol.mut_modify ctx m f;
-            Protocol.drop_mut ctx m));
+    read;
+    write;
+    update;
     free = (fun ctx h -> Protocol.drop_owner ctx (owner_of h));
-    read_part =
-      (fun ctx h ~bytes:_ ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let r = Protocol.borrow_imm ctx o in
-            ignore (Protocol.imm_deref ctx r);
-            Protocol.drop_imm ctx r));
+    read_part = (fun ctx h ~bytes:_ -> ignore (read ctx h));
     process =
       (fun ctx h ~cycles ->
-        let o = owner_of h in
-        let v =
-          with_borrow_retry ctx 0 (fun () ->
-              let r = Protocol.borrow_imm ctx o in
-              let v = Protocol.imm_deref ctx r in
-              Protocol.drop_imm ctx r;
-              v)
-        in
+        let v = read ctx h in
         Ctx.compute ctx ~cycles;
         v);
     process_update =
       (fun ctx h ~cycles f ->
-        let o = owner_of h in
-        with_borrow_retry ctx 0 (fun () ->
-            let m = Protocol.borrow_mut ctx o in
-            Protocol.mut_modify ctx m f;
-            Protocol.drop_mut ctx m);
+        update ctx h f;
         Ctx.compute ctx ~cycles);
     home =
       (fun h ->

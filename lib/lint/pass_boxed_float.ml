@@ -14,16 +14,23 @@
    the record is built.  Variant constructors with inline records are
    not checked.
 
+   Also flagged: [Array.sort], [Array.stable_sort] or [Array.fast_sort]
+   applied to [Float.compare].  The array sorts are polymorphic, so on a
+   flat float array they box both operands of every comparison (about
+   100 words per element over a large sort); [Stats.sort_prefix] sorts
+   a float array in place without allocating.
+
    A deliberate exception — a cold gauge, or a field that shares a box
    made elsewhere instead of allocating one — carries
-   [@dlint.allow "boxed-float: <why>"] on the field, or
+   [@dlint.allow "boxed-float: <why>"] on the field or the call, or
    [@@dlint.allow "boxed-float: <why>"] on the type. *)
 
 let name = "boxed-float"
 
 let doc =
-  "mutable float fields in records that also hold non-float fields: \
-   every write boxes; use an all-float record"
+  "mutable float fields in records that also hold non-float fields \
+   (every write boxes; use an all-float record) and polymorphic array \
+   sorts by Float.compare (every comparison boxes)"
 
 let is_float (ct : Parsetree.core_type) =
   match ct.ptyp_desc with
@@ -52,13 +59,44 @@ let check_decl ctx (td : Parsetree.type_declaration) =
         labels
   | _ -> ()
 
+let array_sorts =
+  [ "Array.sort"; "Array.stable_sort"; "Array.fast_sort"; "Stdlib.Array.sort";
+    "Stdlib.Array.stable_sort"; "Stdlib.Array.fast_sort" ]
+
+let float_compares = [ "Float.compare"; "Stdlib.Float.compare" ]
+
+let ident_of (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_ident { txt; _ } -> Some (Lint.ident_name txt)
+  | _ -> None
+
+let check_sort ctx (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_apply (fn, (Asttypes.Nolabel, cmp) :: _) -> (
+      match (ident_of fn, ident_of cmp) with
+      | Some sort, Some c
+        when List.mem sort array_sorts && List.mem c float_compares ->
+          Lint.emit ctx ~pass:name ~loc:fn.pexp_loc
+            (Printf.sprintf
+               "%s %s boxes both operands of every comparison — sort a \
+                float array with Drust_util.Stats.sort_prefix \
+                (docs/PERFORMANCE.md) or annotate the call with \
+                [@dlint.allow \"boxed-float: reason\"]"
+               sort c)
+      | _ -> ())
+  | _ -> ()
+
 let check ctx (f : Lint.file_unit) =
   let open Ast_iterator in
   let type_declaration it td =
     check_decl ctx td;
     default_iterator.type_declaration it td
   in
-  let it = { default_iterator with type_declaration } in
+  let expr it e =
+    check_sort ctx e;
+    default_iterator.expr it e
+  in
+  let it = { default_iterator with type_declaration; expr } in
   it.structure it f.Lint.f_structure
 
 let pass =

@@ -63,19 +63,21 @@ let set_used t used =
   t.used <- used;
   Metrics.set t.g_used (float_of_int used)
 
+(* A hit returns the stored record itself: no option is built on the
+   DRust read path. *)
 let lookup t g =
-  match Drust_util.Intmap.find_opt t.map (Gaddr.to_int (Gaddr.clear_color g)) with
-  | Some copy when Gaddr.equal copy.key g && not copy.dead ->
+  match Drust_util.Intmap.find t.map (Gaddr.to_int (Gaddr.clear_color g)) with
+  | copy when Gaddr.equal copy.key g && not copy.dead ->
       Metrics.incr t.c_hits;
       fr t ~kind:Flight.k_cache_hit copy.key ~b:0 ~d:0;
-      Some copy
-  | Some copy ->
+      copy
+  | copy ->
       Metrics.incr t.c_misses;
       fr t ~kind:Flight.k_cache_stale_miss g ~b:(Gaddr.color_of copy.key) ~d:0;
-      None
-  | None ->
+      raise Not_found
+  | exception Not_found ->
       Metrics.incr t.c_misses;
-      None
+      raise Not_found
 
 let reclaim t copy =
   if not copy.dead then begin

@@ -53,9 +53,10 @@ val node : t -> int
 val entries : t -> int
 val used_bytes : t -> int
 
-val lookup : t -> Gaddr.t -> copy option
-(** [lookup t g] finds a live copy cached under exactly the colored
-    address [g]; a copy fetched under a stale color never matches. *)
+val lookup : t -> Gaddr.t -> copy
+(** [lookup t g] is the live copy cached under exactly the colored
+    address [g]; a copy fetched under a stale color never matches.
+    Raises [Not_found] on a miss, so a hit allocates nothing. *)
 
 val insert : t -> Gaddr.t -> size:int -> Drust_util.Univ.t -> copy
 (** [insert t g ~size v] records a fresh copy with refcount 1.  Any older

@@ -72,8 +72,8 @@ let get ctx t =
     let cache = (Ctx.current_node ctx).Cluster.cache in
     Ctx.charge_cycles ctx 150.0;
     match Cache.lookup cache t.control.g with
-    | Some copy -> copy.Cache.value
-    | None ->
+    | copy -> copy.Cache.value
+    | exception Not_found ->
         Ctx.note_remote_access ctx ~target;
         Ctx.flush ctx;
         Fabric.rdma_read (Ctx.fabric ctx) ~from:ctx.Ctx.node ~target

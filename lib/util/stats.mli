@@ -25,6 +25,14 @@ val percentile : t -> float -> float
     samples.  Raises [Invalid_argument] on an empty collection. *)
 
 val median : t -> float
+
+val sort_prefix : float array -> int -> unit
+(** [sort_prefix a n] sorts [a.(0 .. n-1)] in place into [Float.compare]
+    order and leaves the rest of [a] alone.  It allocates nothing, unlike
+    [Array.sort Float.compare], which boxes both operands of every
+    comparison; {!percentile} sorts its samples with it.  Raises
+    [Invalid_argument] unless [0 <= n <= Array.length a]. *)
+
 val stddev : t -> float
 
 val merge : t -> t -> t

@@ -1,5 +1,5 @@
-(* dlint fixture: mutable float fields beside non-float fields.  The
-   all-float record, the immutable float and the allowed field pass. *)
+(* dlint fixture: mutable floats in mixed records and array sorts by
+   Float.compare.  The other records, the allow and the int sort pass. *)
 
 type mixed = { name : string; mutable level : float; mutable hits : int }
 type flat = { mutable sum : float; mutable lo : Float.t }
@@ -13,3 +13,6 @@ type allowed = {
 module Inner = struct
   type t = { id : int; mutable at : Float.t }
 end
+
+let sort_samples a = Array.sort Float.compare a
+let sort_ids a = Array.stable_sort Int.compare a

@@ -178,12 +178,16 @@ let prop_partition_usage_balanced =
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
+(* [Cache.lookup] raises [Not_found] on a miss. *)
+let lookup_opt c g =
+  match Cache.lookup c g with copy -> Some copy | exception Not_found -> None
+
 let test_cache_insert_lookup () =
   let c = Cache.create ~node:0 () in
   let g = Gaddr.make ~node:1 ~offset:16 in
   let copy = Cache.insert c g ~size:64 (pack 10) in
   Alcotest.(check int) "refcount starts 1" 1 copy.Cache.refcount;
-  (match Cache.lookup c g with
+  (match lookup_opt c g with
   | Some found -> Alcotest.(check int) "value" 10 (unpack found.Cache.value)
   | None -> Alcotest.fail "expected hit")
 
@@ -194,7 +198,7 @@ let test_cache_color_miss () =
   let g = Gaddr.make ~node:1 ~offset:16 in
   ignore (Cache.insert c g ~size:64 (pack 10));
   let newer = Gaddr.with_color g 1 in
-  Alcotest.(check bool) "stale copy not returned" true (Cache.lookup c newer = None)
+  Alcotest.(check bool) "stale copy not returned" true (lookup_opt c newer = None)
 
 let test_cache_displacement_keeps_pinned_copy () =
   let c = Cache.create ~node:0 () in
@@ -205,14 +209,14 @@ let test_cache_displacement_keeps_pinned_copy () =
   let new_copy = Cache.insert c newer ~size:64 (pack 2) in
   Alcotest.(check bool) "old survives for its readers" false old_copy.Cache.dead;
   Alcotest.(check int) "old still readable" 1 (unpack old_copy.Cache.value);
-  (match Cache.lookup c newer with
+  (match lookup_opt c newer with
   | Some found -> Alcotest.(check int) "new visible" 2 (unpack found.Cache.value)
   | None -> Alcotest.fail "expected hit on new color");
   (* Draining the old pin reclaims it. *)
   Cache.release c old_copy;
   Alcotest.(check bool) "old reclaimed after release" true old_copy.Cache.dead;
   Cache.release c new_copy;
-  Alcotest.(check bool) "new copy still mapped" true (Cache.lookup c newer <> None)
+  Alcotest.(check bool) "new copy still mapped" true (lookup_opt c newer <> None)
 
 let test_cache_refcount_underflow () =
   let c = Cache.create ~node:0 () in
@@ -234,8 +238,8 @@ let test_cache_evict_unreferenced () =
   Cache.release c c1;
   let reclaimed = Cache.evict_unreferenced c in
   Alcotest.(check int) "reclaimed bytes" 100 reclaimed;
-  Alcotest.(check bool) "g1 gone" true (Cache.lookup c g1 = None);
-  Alcotest.(check bool) "g2 kept" true (Cache.lookup c g2 <> None)
+  Alcotest.(check bool) "g1 gone" true (lookup_opt c g1 = None);
+  Alcotest.(check bool) "g2 kept" true (lookup_opt c g2 <> None)
 
 let test_cache_invalidate_physical () =
   let c = Cache.create ~node:0 () in
@@ -244,7 +248,7 @@ let test_cache_invalidate_physical () =
   Cache.release c copy;
   (* Invalidate with a different color: physical match is enough. *)
   Cache.invalidate_physical c (Gaddr.with_color g 7);
-  Alcotest.(check bool) "gone" true (Cache.lookup c g = None);
+  Alcotest.(check bool) "gone" true (lookup_opt c g = None);
   Alcotest.(check int) "bytes reclaimed" 0 (Cache.used_bytes c)
 
 let test_cache_used_bytes () =
@@ -259,9 +263,9 @@ let test_cache_used_bytes () =
 let test_cache_hit_miss_stats () =
   let c = Cache.create ~node:0 () in
   let g = Gaddr.make ~node:1 ~offset:16 in
-  ignore (Cache.lookup c g);
+  ignore (lookup_opt c g);
   ignore (Cache.insert c g ~size:8 (pack 1));
-  ignore (Cache.lookup c g);
+  ignore (lookup_opt c g);
   Alcotest.(check int) "hits" 1 (Cache.hits c);
   Alcotest.(check int) "misses" 1 (Cache.misses c)
 
@@ -294,7 +298,7 @@ let prop_cache_accounting =
               let copy = Cache.insert c g ~size:(8 * (slot + 1)) (pack slot) in
               Hashtbl.replace live slot copy
           | 1 -> (
-              match Cache.lookup c g with
+              match lookup_opt c g with
               | Some copy ->
                   check (not copy.Cache.dead);
                   check (Gaddr.equal copy.Cache.key g);

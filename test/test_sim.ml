@@ -530,6 +530,33 @@ let test_grappa_allocation () =
          in
          fun () -> ignore (Grappa.read g ctx h)))
 
+(* The DRust backend's Dsm verbs on 2 nodes, through the vtable the apps
+   call: a local read, a read of a remote object whose copy is already in
+   this node's cache, and a local update.  Each includes its immutable or
+   mutable borrow, the measured protocol op and the drop. *)
+let test_drust_allocation () =
+  let tag : int Drust_util.Univ.tag =
+    Drust_util.Univ.create_tag ~name:"alloc"
+  in
+  let words ~node op =
+    let c = cluster () in
+    let dsm = Drust_dsm.Drust_backend.create c in
+    let ctx = Drust_machine.Ctx.make c ~node:0 in
+    words_per_call (Drust_machine.Cluster.engine c) (fun () ->
+        let h =
+          dsm.Drust_dsm.Dsm.alloc_on ctx ~node ~size:64
+            (Drust_util.Univ.pack tag 0)
+        in
+        fun () -> op dsm ctx h)
+  in
+  let read dsm ctx h = ignore (dsm.Drust_dsm.Dsm.read ctx h) in
+  check_words "local DRust read" ~limit:13.81 (words ~node:0 read);
+  (* The warm-up call fetches the copy; every measured read hits it. *)
+  check_words "remote cached DRust read" ~limit:15.4
+    (words ~node:1 read);
+  check_words "local DRust update" ~limit:13.81
+    (words ~node:0 (fun dsm ctx h -> dsm.Drust_dsm.Dsm.update ctx h Fun.id))
+
 (* Property: however many processes contend, a resource never exceeds its
    capacity and always drains back to zero. *)
 let prop_resource_capacity =
@@ -586,6 +613,7 @@ let () =
           Alcotest.test_case "resource acquire/release" `Quick
             test_resource_allocation;
           Alcotest.test_case "remote grappa read" `Quick test_grappa_allocation;
+          Alcotest.test_case "drust backend ops" `Quick test_drust_allocation;
         ] );
       ( "mailbox",
         [

@@ -281,6 +281,92 @@ let test_stats_empty () =
     (Invalid_argument "Stats.percentile: empty") (fun () ->
       ignore (Stats.percentile s 50.0))
 
+(* Floats that stress a comparison sort: duplicates, negatives, both
+   zeros, infinities and NaN. *)
+let gen_sample =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, float_range (-1e3) 1e3);
+        (3, map Float.of_int (int_range (-3) 3));
+        ( 1,
+          oneofl
+            [ 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan;
+              Float.max_float; Float.min_float ] );
+      ])
+
+let arb_samples =
+  QCheck.make
+    ~print:QCheck.Print.(array float)
+    QCheck.Gen.(array_size (0 -- 300) gen_sample)
+
+let sorted_copy a =
+  let r = Array.copy a in
+  Array.sort Float.compare r;
+  r
+
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Float.compare x y = 0) a b
+
+let prop_sort_prefix_matches_array_sort =
+  QCheck.Test.make ~name:"sort_prefix matches Array.sort Float.compare"
+    ~count:300
+    QCheck.(pair arb_samples small_nat)
+    (fun (a, cut) ->
+      let n = Array.length a - min cut (Array.length a) in
+      let b = Array.copy a in
+      Stats.sort_prefix b n;
+      same_floats (Array.sub b 0 n) (sorted_copy (Array.sub a 0 n))
+      && same_floats
+           (Array.sub b n (Array.length a - n))
+           (Array.sub a n (Array.length a - n)))
+
+(* Nearest rank on an already-sorted array, as [Stats.percentile]
+   defines it. *)
+let ref_percentile sorted p =
+  let n = Array.length sorted in
+  let rank = Float.to_int (ceil (p /. 100.0 *. Float.of_int n)) in
+  sorted.(min (if rank <= 0 then 0 else rank - 1) (n - 1))
+
+(* A first percentile sorts the samples and sets the sorted flag; the
+   [add]s that follow must clear it so the next query sorts again. *)
+let prop_percentile_after_more_adds =
+  QCheck.Test.make ~name:"percentile agrees with reference across adds"
+    ~count:200
+    QCheck.(pair arb_samples arb_samples)
+    (fun (first, more) ->
+      QCheck.assume (Array.length first > 0);
+      let s = Stats.create () in
+      Array.iter (Stats.add s) first;
+      let agree all =
+        let sorted = sorted_copy all in
+        List.for_all
+          (fun p ->
+            Float.compare (Stats.percentile s p) (ref_percentile sorted p) = 0)
+          [ 0.0; 1.0; 25.0; 50.0; 90.0; 99.0; 100.0 ]
+        && Float.compare (Stats.median s) (ref_percentile sorted 50.0) = 0
+      in
+      let before = agree first in
+      Array.iter (Stats.add s) more;
+      before && agree (Array.append first more))
+
+(* The exact-sample path sorts in place: one median over 100 k samples
+   allocates only its boxed result, 2 words (the copy and polymorphic
+   sort it replaced allocated over 10 M). *)
+let test_stats_median_allocation () =
+  let s = Stats.create () in
+  let r = Rng.create ~seed:11 in
+  for _ = 1 to 100_000 do
+    Stats.add s (Rng.float r 1e-3)
+  done;
+  let w0 = Gc.minor_words () in
+  let m = Stats.median s in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "median in range" true (m >= 0.0 && m < 1e-3);
+  if not (words < 100.0) then
+    Alcotest.failf "Stats.median allocated %.0f minor words (limit 100)" words
+
 let test_histogram () =
   let h = Stats.Histogram.create ~buckets:[| 1.0; 10.0; 100.0 |] in
   List.iter (Stats.Histogram.add h) [ 0.5; 5.0; 50.0; 500.0; 7.0 ];
@@ -488,6 +574,10 @@ let () =
           Alcotest.test_case "merge" `Quick test_stats_merge;
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "histogram" `Quick test_histogram;
+          Alcotest.test_case "median allocation" `Quick
+            test_stats_median_allocation;
+          QCheck_alcotest.to_alcotest prop_sort_prefix_matches_array_sort;
+          QCheck_alcotest.to_alcotest prop_percentile_after_more_adds;
         ] );
       ( "pqueue",
         [
